@@ -56,6 +56,7 @@ import (
 	"time"
 
 	szx "repro"
+	"repro/internal/core"
 	"repro/telemetry"
 )
 
@@ -149,7 +150,9 @@ func main() {
 
 	switch {
 	case *info:
-		runInfo(*in)
+		if code, err := runInfo(*in, os.Stdout); err != nil {
+			fail(code, "%v", err)
+		}
 	case *compress:
 		if *out == "" {
 			fail(exitUsage, "missing -o output file")
@@ -192,13 +195,14 @@ func main() {
 	}
 }
 
-// runInfo prints the header of either container flavor without decoding
-// payloads: streaming containers are scanned frame by frame (length
-// prefixes only), single-buffer streams go through szx.Info.
-func runInfo(path string) {
+// runInfo prints the header of either container flavor to stdout without
+// decoding payloads: streaming containers are scanned frame by frame
+// (length prefixes only), single-buffer streams go through szx.Info. On
+// failure it returns the exit code and the error to report.
+func runInfo(path string, stdout io.Writer) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		fail(exitIO, "%v", err)
+		return exitIO, err
 	}
 	defer f.Close()
 	br := bufio.NewReader(f)
@@ -206,50 +210,61 @@ func runInfo(path string) {
 	if err == nil && string(magic[:4]) == "SZXS" {
 		version := magic[4] // Peek's slice is invalidated by Discard
 		if _, err := br.Discard(5); err != nil {
-			fail(exitIO, "%v", err)
+			return exitIO, err
 		}
 		frames, payload := 0, int64(0)
-		var firstFrame []byte
+		truncated := func(err error) error {
+			return fmt.Errorf("truncated streaming container after %d frames: %w", frames, err)
+		}
+		var firstHeader []byte
 		for {
 			var lenBuf [4]byte
 			if _, err := io.ReadFull(br, lenBuf[:]); err != nil {
-				fail(exitCorrupt, "truncated streaming container after %d frames: %v", frames, err)
+				return exitCorrupt, truncated(err)
 			}
 			n := binary.LittleEndian.Uint32(lenBuf[:])
 			if n == 0 {
 				break
 			}
+			if n > 1<<31 { // the library's cap on a frame length
+				return exitCorrupt, truncated(fmt.Errorf("frame length %d out of range", n))
+			}
+			skip := int(n)
 			if frames == 0 {
-				// Keep the first frame: its embedded SZx header records the
-				// effective error bound (the converged bound, in fixed-ratio
-				// mode) for the whole stream.
-				firstFrame = make([]byte, n)
-				if _, err := io.ReadFull(br, firstFrame); err != nil {
-					fail(exitCorrupt, "truncated streaming container after %d frames: %v", frames, err)
+				// Keep the first frame's SZx header: it records the effective
+				// error bound (the converged bound, in fixed-ratio mode) for
+				// the whole stream. Only the header is held in memory, so a
+				// forged length prefix cannot force a large allocation.
+				firstHeader = make([]byte, min(skip, core.HeaderSize))
+				if _, err := io.ReadFull(br, firstHeader); err != nil {
+					return exitCorrupt, truncated(err)
 				}
-			} else if _, err := br.Discard(int(n)); err != nil {
-				fail(exitCorrupt, "truncated streaming container after %d frames: %v", frames, err)
+				skip -= len(firstHeader)
+			}
+			if _, err := br.Discard(skip); err != nil {
+				return exitCorrupt, truncated(err)
 			}
 			frames++
 			payload += int64(n)
 		}
-		fmt.Printf("container=SZXS version=%d frames=%d payloadBytes=%d", version, frames, payload)
-		if h, herr := szx.Info(firstFrame); herr == nil {
-			fmt.Printf(" type=%v blockSize=%d errBound=%g", h.Type, h.BlockSize, h.ErrBound)
+		fmt.Fprintf(stdout, "container=SZXS version=%d frames=%d payloadBytes=%d", version, frames, payload)
+		if h, herr := szx.Info(firstHeader); herr == nil {
+			fmt.Fprintf(stdout, " type=%v blockSize=%d errBound=%g", h.Type, h.BlockSize, h.ErrBound)
 		}
-		fmt.Println()
-		return
+		fmt.Fprintln(stdout)
+		return exitOK, nil
 	}
 	raw, err := io.ReadAll(br)
 	if err != nil {
-		fail(exitIO, "%v", err)
+		return exitIO, err
 	}
 	h, err := szx.Info(raw)
 	if err != nil {
-		failErr(err)
+		return exitCodeFor(err), err
 	}
-	fmt.Printf("type=%v n=%d blockSize=%d errBound=%g blocks=%d\n",
+	fmt.Fprintf(stdout, "type=%v n=%d blockSize=%d errBound=%g blocks=%d\n",
 		h.Type, h.N, h.BlockSize, h.ErrBound, h.NumBlocks())
+	return exitOK, nil
 }
 
 // runStreamCompress pumps the input file through the pipelined streaming

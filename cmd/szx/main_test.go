@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	szx "repro"
@@ -60,5 +64,49 @@ func TestExitCodeClassification(t *testing.T) {
 		if got := exitCodeFor(tc.err); got != tc.want {
 			t.Errorf("%s: exit code %d, want %d", tc.name, got, tc.want)
 		}
+	}
+}
+
+// TestInfoForgedFrameLength pins szx -info on a container whose first
+// length prefix promises far more than the file holds: exit 4 with the
+// truncated-container message, and no allocation sized by the prefix. A
+// well-formed container still gets its frame census.
+func TestInfoForgedFrameLength(t *testing.T) {
+	dir := t.TempDir()
+	for _, prefix := range []string{"\xff\xff\xff\xff", "\xff\xff\xff\x7f"} {
+		path := filepath.Join(dir, "forged.szxs")
+		if err := os.WriteFile(path, []byte("SZXS\x01"+prefix), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code, err := runInfo(path, io.Discard)
+		runtime.ReadMemStats(&after)
+		if code != exitCorrupt || err == nil ||
+			!strings.HasPrefix(err.Error(), "truncated streaming container after 0 frames") {
+			t.Errorf("prefix %q: exit %d, %v; want exit %d and the truncated-container message",
+				prefix, code, err, exitCorrupt)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("prefix %q: -info allocated %d bytes", prefix, grew)
+		}
+	}
+
+	var buf bytes.Buffer
+	w := szx.NewWriter(&buf, szx.Options{ErrorBound: 1e-3}, 64)
+	if err := errors.Join(w.Write(make([]float32, 200)), w.Close()); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "ok.szxs")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out strings.Builder
+	if code, err := runInfo(path, &out); code != exitOK || err != nil {
+		t.Fatalf("well-formed container: exit %d, %v", code, err)
+	}
+	if want := "container=SZXS version=1 frames=4 "; !strings.HasPrefix(out.String(), want) ||
+		!strings.Contains(out.String(), "errBound=0.001") {
+		t.Fatalf("census %q; want prefix %q and errBound=0.001", out.String(), want)
 	}
 }

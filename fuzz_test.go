@@ -34,8 +34,30 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte("SZXS\x01\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
-		r := NewReader(bytes.NewReader(blob))
-		_, _ = r.ReadAll()
+		// Both read schedules must agree on corrupt input too: the same
+		// values before the failure, and the same failing frame.
+		want, werr := NewReader(bytes.NewReader(blob)).ReadAll()
+		pr := NewPipeReader(bytes.NewReader(blob), 2)
+		got, gerr := pr.ReadAll()
+		if cerr := pr.Close(); cerr != nil {
+			t.Fatalf("close: %v", cerr)
+		}
+		if (werr == nil) != (gerr == nil) {
+			t.Fatalf("readers disagree on validity: inline=%v pipelined=%v", werr, gerr)
+		}
+		var wfe, gfe *FrameError
+		if errors.As(werr, &wfe) != errors.As(gerr, &gfe) ||
+			wfe != nil && (wfe.Frame != gfe.Frame || wfe.Offset != gfe.Offset) {
+			t.Fatalf("readers disagree on the failure: inline=%v pipelined=%v", werr, gerr)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("pipelined reader got %d values, inline %d", len(got), len(want))
+		}
+		for i := range want {
+			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+				t.Fatalf("value %d differs between the inline and pipelined readers", i)
+			}
+		}
 	})
 }
 

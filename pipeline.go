@@ -2,9 +2,7 @@ package szx
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -14,16 +12,27 @@ import (
 	"repro/telemetry/trace"
 )
 
-// Pipelined streaming engine: the concurrent counterpart of Writer and
-// Reader. The serial stream path compresses a chunk, then writes it, then
-// starts the next chunk — on any real file or socket the CPU idles during
-// I/O and the I/O idles during compression. PipeWriter and PipeReader
-// overlap the two ends to end: a bounded ring of K chunk slots circulates
-// between the producer, a pool of compression (or decompression) workers,
-// and a single in-order emitter, so up to K frames are in flight while the
-// wire format stays byte-identical to the serial Writer's (same container
-// magic, same per-chunk frames, same terminator — pinned by golden-hash
-// and fuzz cross-check tests).
+// Streaming engine: the one implementation of the SZXS container. Writing
+// runs three stages per chunk — submit (chunking, and the fixed-ratio seed
+// on chunk 0), encode (compress the chunk into a staged frame), emit (one
+// Write of the frame) — and reading three per frame — prefetch (read the
+// next frame), decode, deliver (hand its values to Read in order). Each
+// stage is written once; two schedules run them:
+//
+//   - inline (NewWriter, NewReader): one stage after another on the
+//     caller's goroutine through a single slot, with no ring, channels, or
+//     goroutines;
+//   - pipelined (NewPipeWriter, NewPipeReader): a bounded ring of K slots
+//     circulates between the producer, a pool of encode (decode) workers,
+//     and a single in-order emitter (consumer), so compression overlaps the
+//     sink's or source's I/O and, on multi-core hosts, chunks encode in
+//     parallel.
+//
+// The constructor picks the schedule, not the parallelism: a pipeline with
+// one worker still overlaps one chunk's I/O with the next chunk's encode,
+// which is what a slow sink such as an HTTP response needs. Both schedules
+// emit the same bytes and report the same errors (pinned by golden-hash and
+// fuzz cross-check tests).
 //
 // Ordering invariant: slots enter the emit queue in submission order, and
 // the emitter (or the reading consumer) waits on each slot's done signal
@@ -44,7 +53,8 @@ import (
 // errStreamAborted is pinned as the terminal error by PipeWriter.Abort.
 var errStreamAborted = errors.New("szx: stream aborted")
 
-// pipeSlot is one ring entry carrying a chunk through the pipeline.
+// pipeSlot carries one chunk through the stages: a ring entry on the
+// pipelined schedule, the only slot on the inline one.
 type pipeSlot struct {
 	seq   int       // submission sequence (write side)
 	idx   int       // frame index (read side)
@@ -81,34 +91,37 @@ func (p *pipeErr) get() error {
 // from starving the pool at hand-off points.
 func pipelineDepth(workers int) int { return workers + 2 }
 
-// PipeWriter is the pipelined counterpart of Writer: it compresses a
-// stream of float32 values chunk by chunk with a pool of workers while a
-// single emitter goroutine writes the frames strictly in order, producing
-// bytes identical to the serial Writer's.
+// PipeWriter compresses a stream of float32 values chunk by chunk into an
+// SZXS container. Built by NewPipeWriter, a pool of workers compresses
+// chunks while a single emitter goroutine writes the frames strictly in
+// order; built by NewWriter (as a Writer), every stage runs inline. The
+// bytes are the same either way.
 //
-// A PipeWriter is not safe for concurrent use (like Writer); the
-// concurrency is internal. Close must be called to flush the tail chunk,
-// write the terminator, and join the worker goroutines.
+// A PipeWriter is not safe for concurrent use; any concurrency is
+// internal. Close must be called to flush the tail chunk, write the
+// terminator, and join the worker goroutines.
 type PipeWriter struct {
 	w     io.Writer
 	opt   Options
 	chunk int
-	depth int
 
 	ctx     context.Context
 	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
-	tr      *trace.Trace   // request trace from ctx; nil = untraced
+	tr      *trace.Trace    // request trace from ctx; nil = untraced
 
-	free chan *pipeSlot
-	work chan *pipeSlot
-	emit chan *pipeSlot
-
+	// The pipelined schedule's ring; nil on the inline schedule, which
+	// runs every stage through slot.
+	depth    int
+	free     chan *pipeSlot
+	work     chan *pipeSlot
+	emit     chan *pipeSlot
 	wg       sync.WaitGroup // compression workers
 	emitDone chan struct{}
+	slot     pipeSlot
 
 	buf    []float32
 	seq    int
-	ratio  streamRatio // seeded on the producer goroutine before chunk 0 is handed off
+	seed   float64 // fixed-ratio bound of chunk 0, set by submit before any hand-off
 	perr   pipeErr
 	closed bool
 }
@@ -136,32 +149,22 @@ func NewPipeWriter(w io.Writer, opt Options, chunkValues, parallelism int) *Pipe
 // hand the pipeline a sink that fails on cancellation (HTTP response
 // writers do).
 func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkValues, parallelism int) *PipeWriter {
-	if chunkValues <= 0 {
-		chunkValues = DefaultChunkValues
-	}
+	pw := NewWriter(w, opt, chunkValues)
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	depth := pipelineDepth(parallelism)
-	pw := &PipeWriter{
-		w:        w,
-		opt:      opt,
-		chunk:    chunkValues,
-		depth:    depth,
-		ctx:      ctx,
-		ctxDone:  ctx.Done(),
-		tr:       trace.FromContext(ctx),
-		free:     make(chan *pipeSlot, depth),
-		work:     make(chan *pipeSlot, depth),
-		emit:     make(chan *pipeSlot, depth),
-		emitDone: make(chan struct{}),
-	}
+	pw.depth = pipelineDepth(parallelism)
+	pw.ctx, pw.ctxDone, pw.tr = ctx, ctx.Done(), trace.FromContext(ctx)
+	pw.free = make(chan *pipeSlot, pw.depth)
+	pw.work = make(chan *pipeSlot, pw.depth)
+	pw.emit = make(chan *pipeSlot, pw.depth)
+	pw.emitDone = make(chan struct{})
 	pw.opt.Workers = WorkersSerial
 	// Per-chunk encodes run on pool workers; letting each record codec-stage
 	// spans would flood the trace with overlapping intervals. The pipeline's
 	// trace story is the per-frame slot occupancy recorded by the emitter.
 	pw.opt.Spans = nil
-	for i := 0; i < depth; i++ {
+	for i := 0; i < pw.depth; i++ {
 		pw.free <- &pipeSlot{}
 	}
 	pw.wg.Add(parallelism)
@@ -171,53 +174,101 @@ func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkVa
 	go pw.emitter()
 	if telemetry.Enabled() {
 		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(int64(depth))
+		telemetry.PipelineDepths.Observe(int64(pw.depth))
 	}
 	return pw
 }
 
-// buildStreamFrame stages one complete frame — container magic for the
-// first one, the u32 length prefix, and the compressed payload — into dst,
-// exactly as Writer.flushChunk lays it out.
-func buildStreamFrame(dst []byte, chunk []float32, first bool, opt Options) ([]byte, error) {
-	if first {
-		dst = append(dst, streamMagic...)
-		dst = append(dst, streamVersion)
+// submit is the first write stage. On chunk 0 of a fixed-ratio stream it
+// runs the full bound search, here on the producer goroutine, so workers
+// read the seed after the hand-off below. Inline, it then encodes and
+// emits the chunk straight from the caller's slice; pipelined, it copies
+// the chunk into a ring slot, blocking while all slots are in flight (the
+// backpressure bound). A context cancellation wakes a blocked producer,
+// pins the error, and drops the chunk.
+func (pw *PipeWriter) submit(chunk []float32) {
+	if pw.opt.TargetRatio > 0 && pw.seq == 0 {
+		p, err := ResolvePlan(chunk, pw.opt)
+		if err != nil {
+			pw.perr.set(err)
+			return
+		}
+		pw.seed = p.Bound
 	}
-	hdrOff := len(dst)
-	dst = append(dst, 0, 0, 0, 0)
-	out, err := CompressInto(dst, chunk, opt)
-	if err != nil {
-		return dst, err
+	if pw.work == nil {
+		s := &pw.slot
+		s.seq, s.vals = pw.seq, chunk
+		pw.seq++
+		pw.encode(s)
+		pw.emitFrame(s)
+		s.vals = nil
+		return
 	}
-	binary.LittleEndian.PutUint32(out[hdrOff:], uint32(len(out)-hdrOff-4))
-	return out, nil
+	s := takeSlot(pw.free, pw.depth, nil, pw.ctxDone)
+	if s == nil {
+		pw.perr.set(pw.ctx.Err())
+		return
+	}
+	if pw.tr != nil {
+		s.t0 = time.Now()
+	}
+	s.seq = pw.seq
+	pw.seq++
+	s.vals = append(s.vals[:0], chunk...)
+	s.err = nil
+	s.done = make(chan struct{})
+	pw.emit <- s
+	pw.work <- s
+}
+
+// encode is the second write stage: it compresses s's chunk into a staged
+// frame — container header on chunk 0, length prefix, payload — so the
+// emitter writes each frame with one Write. Chunk 0 of a fixed-ratio
+// stream uses the seed; later chunks re-resolve from it, a pure function
+// of (options, seed, values), so the bytes do not depend on which worker
+// encodes which chunk.
+func (pw *PipeWriter) encode(s *pipeSlot) {
+	opt := pw.opt
+	if opt.TargetRatio > 0 {
+		b := pw.seed
+		if s.seq > 0 {
+			var err error
+			if b, err = ratioChunkBound(pw.opt, b, s.vals); err != nil {
+				s.err = err
+				return
+			}
+		}
+		opt = pw.opt.withBound(b)
+	}
+	frame, at := streamFrames.beginFrame(s.frame[:0], s.seq == 0)
+	s.frame, s.err = CompressInto(frame, s.vals, opt)
+	if s.err == nil {
+		endFrame(s.frame, at)
+	}
+}
+
+// emitFrame is the last write stage: it pins s's encode error, or writes
+// its frame unless the stream has already failed.
+func (pw *PipeWriter) emitFrame(s *pipeSlot) {
+	switch {
+	case s.err != nil:
+		pw.perr.set(s.err)
+	case pw.perr.get() == nil:
+		if _, err := pw.w.Write(s.frame); err != nil {
+			pw.perr.set(err)
+		} else if telemetry.Enabled() {
+			telemetry.StreamFramesWritten.Inc()
+		}
+	}
+	if pw.tr != nil {
+		pw.tr.RecordSpan("pipe_frame", s.t0, time.Now())
+	}
 }
 
 func (pw *PipeWriter) worker() {
 	defer pw.wg.Done()
 	for s := range pw.work {
-		opt := pw.opt
-		if pw.opt.TargetRatio > 0 {
-			// The seed was resolved on the producer goroutine before this
-			// slot was handed off (happens-before via the work channel), so
-			// reading it here is race-free. Chunk 0 uses the seed verbatim;
-			// later chunks re-resolve from it — a pure function of (options,
-			// seed, values), so frames match the serial Writer byte for byte
-			// regardless of worker scheduling.
-			if s.seq == 0 {
-				opt = pw.opt.withBound(pw.ratio.seed)
-			} else {
-				b, err := ratioChunkBound(pw.opt, pw.ratio.seed, s.vals)
-				if err != nil {
-					s.err = err
-					close(s.done)
-					continue
-				}
-				opt = pw.opt.withBound(b)
-			}
-		}
-		s.frame, s.err = buildStreamFrame(s.frame[:0], s.vals, s.seq == 0, opt)
+		pw.encode(s)
 		close(s.done)
 	}
 }
@@ -233,22 +284,35 @@ func (pw *PipeWriter) emitter() {
 		} else {
 			<-s.done
 		}
-		switch {
-		case s.err != nil:
-			pw.perr.set(s.err)
-		case pw.perr.get() == nil:
-			if _, err := pw.w.Write(s.frame); err != nil {
-				pw.perr.set(err)
-			} else if telemetry.Enabled() {
-				telemetry.StreamFramesWritten.Inc()
-			}
-		}
-		if pw.tr != nil {
-			pw.tr.RecordSpan("pipe_frame", s.t0, time.Now())
-		}
+		pw.emitFrame(s)
 		s.vals = s.vals[:0]
 		pw.free <- s
 	}
+}
+
+// takeSlot takes a free ring slot, blocking while all are in flight; it
+// returns nil if stop or ctxDone fires first.
+func takeSlot(free chan *pipeSlot, depth int, stop, ctxDone <-chan struct{}) *pipeSlot {
+	var s *pipeSlot
+	if telemetry.Enabled() {
+		t := telemetry.Start()
+		select {
+		case s = <-free:
+		case <-stop:
+			return nil
+		case <-ctxDone:
+			return nil
+		}
+		t.Stop(&telemetry.PipelineProducerStalls)
+		telemetry.PipelineFramesInFlight.Observe(int64(depth - len(free)))
+		return s
+	}
+	select {
+	case s = <-free:
+	case <-stop:
+	case <-ctxDone:
+	}
+	return s
 }
 
 // pinCtxErr pins the context's error (if the context is cancelled) as the
@@ -262,55 +326,10 @@ func (pw *PipeWriter) pinCtxErr() error {
 	return pw.perr.get()
 }
 
-// submit hands one chunk to the pipeline, blocking while all ring slots
-// are in flight (the backpressure bound). A context cancellation wakes the
-// blocked producer, pins the error, and drops the chunk.
-func (pw *PipeWriter) submit(chunk []float32) {
-	var s *pipeSlot
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		select {
-		case s = <-pw.free:
-		case <-pw.ctxDone:
-			pw.perr.set(pw.ctx.Err())
-			return
-		}
-		t.Stop(&telemetry.PipelineProducerStalls)
-		telemetry.PipelineFramesInFlight.Observe(int64(pw.depth - len(pw.free)))
-	} else {
-		select {
-		case s = <-pw.free:
-		case <-pw.ctxDone:
-			pw.perr.set(pw.ctx.Err())
-			return
-		}
-	}
-	if pw.opt.TargetRatio > 0 && !pw.ratio.seeded {
-		// Run the full bound search on the first chunk here, on the
-		// producer goroutine, so every worker sees the seed through the
-		// channel hand-off below.
-		if _, err := pw.ratio.chunkBound(chunk, pw.opt); err != nil {
-			pw.perr.set(err)
-			pw.free <- s
-			return
-		}
-	}
-	if pw.tr != nil {
-		s.t0 = time.Now()
-	}
-	s.seq = pw.seq
-	pw.seq++
-	s.vals = append(s.vals[:0], chunk...)
-	s.err = nil
-	s.done = make(chan struct{})
-	pw.emit <- s
-	pw.work <- s
-}
-
-// Write buffers values, submitting full chunks to the pipeline. It chunks
-// exactly like Writer.Write, so the emitted frame boundaries are
-// identical. Errors from in-flight chunks surface on a later Write or on
-// Close (first error wins).
+// Write buffers values and submits full chunks; a chunk-sized run of the
+// input is submitted straight from the caller's slice. Errors from
+// in-flight chunks surface on a later Write or on Close (first error
+// wins).
 func (pw *PipeWriter) Write(values []float32) error {
 	if err := pw.pinCtxErr(); err != nil {
 		return err
@@ -323,10 +342,7 @@ func (pw *PipeWriter) Write(values []float32) error {
 			pw.submit(values[:pw.chunk])
 			values = values[pw.chunk:]
 		} else {
-			need := pw.chunk - len(pw.buf)
-			if need > len(values) {
-				need = len(values)
-			}
+			need := min(pw.chunk-len(pw.buf), len(values))
 			pw.buf = append(pw.buf, values[:need]...)
 			values = values[need:]
 			if len(pw.buf) == pw.chunk {
@@ -341,9 +357,13 @@ func (pw *PipeWriter) Write(values []float32) error {
 	return nil
 }
 
-// shutdown stops the pipeline: no more submissions, workers and the
-// emitter drain what is in flight and exit.
+// shutdown stops the pipelined schedule — no more submissions; workers and
+// the emitter drain what is in flight and exit. Inline, there is nothing
+// to stop.
 func (pw *PipeWriter) shutdown() {
+	if pw.work == nil {
+		return
+	}
 	close(pw.work)
 	pw.wg.Wait()
 	close(pw.emit)
@@ -367,22 +387,17 @@ func (pw *PipeWriter) Close() error {
 	if err := pw.pinCtxErr(); err != nil {
 		return err
 	}
-	// Terminator, prefixed by the container magic when no chunk was ever
-	// submitted (empty stream), exactly as Writer.Close emits it.
-	tail := make([]byte, 0, len(streamMagic)+5)
-	if pw.seq == 0 {
-		tail = append(tail, streamMagic...)
-		tail = append(tail, streamVersion)
-	}
-	tail = append(tail, 0, 0, 0, 0)
-	if _, err := pw.w.Write(tail); err != nil {
+	// The terminator and, for an empty stream, the container header before
+	// it, in one Write.
+	pw.slot.frame = streamFrames.appendEnd(pw.slot.frame[:0], pw.seq == 0)
+	if _, err := pw.w.Write(pw.slot.frame); err != nil {
 		pw.perr.set(err)
 		return err
 	}
 	return nil
 }
 
-// Abort stops the pipeline without flushing the tail chunk or writing the
+// Abort stops the stream without flushing the tail chunk or writing the
 // terminator, leaving a truncated (but prefix-readable) container. It
 // joins every goroutine; subsequent Write and Close calls report the
 // abort. Already-submitted frames may or may not reach the writer.
@@ -395,34 +410,38 @@ func (pw *PipeWriter) Abort() {
 	pw.shutdown()
 }
 
-// PipeReader is the pipelined counterpart of Reader: a prefetcher
-// goroutine reads length-prefixed frames ahead while a pool of workers
-// decompresses them concurrently, and Read delivers values strictly in
-// frame order. Memory is bounded by the ring: at most parallelism+2
-// compressed frames (and their decoded chunks) are in flight.
+// PipeReader decompresses an SZXS container and delivers its values
+// strictly in frame order. Built by NewPipeReader, a prefetcher goroutine
+// reads frames ahead while a pool of workers decompresses them
+// concurrently, with at most parallelism+2 compressed frames (and their
+// decoded chunks) in flight; built by NewReader (as a Reader), each frame
+// is read and decoded inline when Read needs it.
 //
 // A PipeReader is not safe for concurrent use. Close releases the
-// background goroutines; it must be called when abandoning a stream
-// mid-read (after a clean EOF or a terminal error the goroutines have
-// already exited, but Close remains safe and idempotent).
+// background goroutines; it must be called when abandoning a pipelined
+// stream mid-read (after a clean EOF or a terminal error the goroutines
+// have already exited, but Close remains safe and idempotent). An inline
+// reader has no goroutines, so its Close is optional.
 type PipeReader struct {
-	r     io.Reader
-	depth int
+	frames frameReader // touched only by the prefetch stage
 
 	ctx     context.Context
 	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
-	tr      *trace.Trace   // request trace from ctx; nil = untraced
+	tr      *trace.Trace    // request trace from ctx; nil = untraced
 
-	free chan *pipeSlot
-	work chan *pipeSlot
-	emit chan *pipeSlot
-	stop chan struct{}
-
-	wg sync.WaitGroup // prefetcher + decode workers
+	// The pipelined schedule's ring; nil on the inline schedule, which
+	// runs every stage through slot.
+	depth int
+	free  chan *pipeSlot
+	work  chan *pipeSlot
+	emit  chan *pipeSlot
+	stop  chan struct{}
+	wg    sync.WaitGroup // prefetcher + decode workers
+	slot  pipeSlot
 
 	cur    *pipeSlot // slot currently being drained
 	pos    int
-	err    error
+	err    error // first terminal error, io.EOF included
 	closed bool
 }
 
@@ -441,42 +460,50 @@ func NewPipeReader(r io.Reader, parallelism int) *PipeReader {
 // unblocks on cancellation (HTTP request bodies do). Close remains safe
 // and idempotent.
 func NewPipeReaderContext(ctx context.Context, r io.Reader, parallelism int) *PipeReader {
+	pr := NewReader(r)
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	depth := pipelineDepth(parallelism)
-	pr := &PipeReader{
-		r:       r,
-		depth:   depth,
-		ctx:     ctx,
-		ctxDone: ctx.Done(),
-		tr:      trace.FromContext(ctx),
-		free:    make(chan *pipeSlot, depth),
-		work:    make(chan *pipeSlot, depth),
-		emit:    make(chan *pipeSlot, depth),
-		stop:    make(chan struct{}),
-	}
-	for i := 0; i < depth; i++ {
+	pr.depth = pipelineDepth(parallelism)
+	pr.ctx, pr.ctxDone, pr.tr = ctx, ctx.Done(), trace.FromContext(ctx)
+	pr.free = make(chan *pipeSlot, pr.depth)
+	pr.work = make(chan *pipeSlot, pr.depth)
+	pr.emit = make(chan *pipeSlot, pr.depth)
+	pr.stop = make(chan struct{})
+	for i := 0; i < pr.depth; i++ {
 		pr.free <- &pipeSlot{}
 	}
 	pr.wg.Add(1 + parallelism)
-	go pr.prefetch()
+	go pr.prefetcher()
 	for i := 0; i < parallelism; i++ {
 		go pr.decodeWorker()
 	}
 	if telemetry.Enabled() {
 		telemetry.PipelineStarts.Inc()
-		telemetry.PipelineDepths.Observe(int64(depth))
+		telemetry.PipelineDepths.Observe(int64(pr.depth))
 	}
 	return pr
 }
 
-// headerErr marks a container-header failure: the slot carries the final
-// error verbatim (idx < 0 distinguishes it from frame errors).
-func headerSlot(err error) *pipeSlot {
-	s := &pipeSlot{idx: -1, err: err, done: make(chan struct{})}
-	close(s.done)
-	return s
+// prefetch is the first read stage: it reads the next frame into s. It
+// returns false at the terminator; a malformed container or frame leaves
+// its error in s.err.
+func (pr *PipeReader) prefetch(s *pipeSlot) bool {
+	s.frame, s.idx, s.off, s.err = pr.frames.next(s.frame)
+	return s.err != io.EOF
+}
+
+// decode is the second read stage: it decompresses s's frame into s.vals.
+func (pr *PipeReader) decode(s *pipeSlot) {
+	if s.err != nil {
+		return
+	}
+	vals, err := DecompressInto(s.vals[:0], s.frame)
+	if err != nil {
+		s.err = streamFrames.frameErr(s.idx, s.off, err)
+		return
+	}
+	s.vals = vals
 }
 
 // send delivers a slot to ch unless the reader is being closed or its
@@ -492,72 +519,23 @@ func (pr *PipeReader) send(ch chan *pipeSlot, s *pipeSlot) bool {
 	}
 }
 
-func (pr *PipeReader) prefetch() {
+func (pr *PipeReader) prefetcher() {
 	defer pr.wg.Done()
 	defer close(pr.work)
 	defer close(pr.emit)
-
-	var hdr [5]byte
-	if _, err := io.ReadFull(pr.r, hdr[:]); err != nil {
-		pr.send(pr.emit, headerSlot(fmt.Errorf("%w: container header: %w", ErrStream, err)))
-		return
-	}
-	if string(hdr[:4]) != streamMagic || hdr[4] != streamVersion {
-		pr.send(pr.emit, headerSlot(ErrStream))
-		return
-	}
-	byteOff := int64(5)
-	idx := 0
-	obs := telemetry.Enabled()
 	for {
-		frameOff := byteOff
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(pr.r, lenBuf[:]); err != nil {
-			pr.send(pr.emit, frameErrSlot(idx, frameOff, fmt.Errorf("truncated frame header: %w", err)))
+		s := takeSlot(pr.free, pr.depth, pr.stop, pr.ctxDone)
+		if s == nil {
 			return
-		}
-		byteOff += 4
-		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if frameLen == 0 {
-			return // clean terminator
-		}
-		if frameLen > 1<<31 {
-			pr.send(pr.emit, frameErrSlot(idx, frameOff, fmt.Errorf("frame length %d out of range", frameLen)))
-			return
-		}
-		var s *pipeSlot
-		if obs {
-			t := telemetry.Start()
-			select {
-			case s = <-pr.free:
-			case <-pr.stop:
-				return
-			case <-pr.ctxDone:
-				return
-			}
-			t.Stop(&telemetry.PipelineProducerStalls)
-			telemetry.PipelineFramesInFlight.Observe(int64(pr.depth - len(pr.free)))
-		} else {
-			select {
-			case s = <-pr.free:
-			case <-pr.stop:
-				return
-			case <-pr.ctxDone:
-				return
-			}
 		}
 		if pr.tr != nil {
 			s.t0 = time.Now()
 		}
-		frame, got, err := readFrameBody(pr.r, s.frame, int(frameLen))
-		s.frame = frame
-		byteOff += int64(got)
-		s.idx = idx
-		s.off = frameOff
-		s.err = nil
+		if !pr.prefetch(s) {
+			return // clean terminator
+		}
 		s.done = make(chan struct{})
-		if err != nil {
-			s.err = fmt.Errorf("truncated frame (%d of %d payload bytes): %w", got, frameLen, err)
+		if s.err != nil {
 			close(s.done)
 			pr.send(pr.emit, s)
 			return
@@ -571,104 +549,88 @@ func (pr *PipeReader) prefetch() {
 			close(s.done)
 			return
 		}
-		idx++
 	}
-}
-
-// frameErrSlot wraps a prefetch-side frame failure; the consumer turns it
-// into a FrameError so reporting matches the serial Reader exactly.
-func frameErrSlot(idx int, off int64, cause error) *pipeSlot {
-	s := &pipeSlot{idx: idx, off: off, err: cause, done: make(chan struct{})}
-	close(s.done)
-	return s
 }
 
 func (pr *PipeReader) decodeWorker() {
 	defer pr.wg.Done()
 	for s := range pr.work {
-		if s.err == nil {
-			vals, err := DecompressInto(s.vals[:0], s.frame)
-			if err != nil {
-				s.err = err
-			} else {
-				s.vals = vals
-			}
-		}
+		pr.decode(s)
 		close(s.done)
 	}
 }
 
-// recvSlot waits for the next in-order slot (and its decode) unless the
-// context is cancelled first. Every slot that reaches the emit queue is
-// guaranteed to have its done signal closed eventually — by a decode
-// worker, by the prefetcher's failed-hand-off path, or at construction for
-// error slots — so the done wait needs no cancellation case of its own.
-func (pr *PipeReader) recvSlot() (s *pipeSlot, ok bool, cancelled error) {
+// receive waits for the ring's next in-order slot and its decode. It
+// returns io.EOF once the prefetcher has ended the queue, or the
+// context's error. Every slot that reaches the emit queue is guaranteed
+// to have its done signal closed eventually — by a decode worker, or by
+// the prefetcher on an error or a failed hand-off — so the done wait
+// needs no cancellation case of its own.
+func (pr *PipeReader) receive() (*pipeSlot, error) {
 	select {
-	case s, ok = <-pr.emit:
+	case s, ok := <-pr.emit:
 		if ok {
 			<-s.done
+			return s, nil
 		}
-		return s, ok, nil
-	case <-pr.ctxDone:
-		return nil, false, pr.ctx.Err()
-	}
-}
-
-// fail pins a frame-level failure as the reader's terminal error, counting
-// it exactly as the serial Reader does.
-func (pr *PipeReader) fail(s *pipeSlot) error {
-	telemetry.StreamFrameErrors.Inc()
-	if s.idx < 0 {
-		pr.err = s.err // container-header failure, already fully wrapped
-	} else {
-		pr.err = &FrameError{Frame: s.idx, Offset: s.off, Err: s.err}
-	}
-	return pr.err
-}
-
-// next advances to the next decoded slot in frame order, recycling the
-// drained one. It returns io.EOF at the terminator.
-func (pr *PipeReader) next() error {
-	if pr.cur != nil {
-		if pr.tr != nil {
-			pr.tr.RecordSpan("pipe_frame", pr.cur.t0, time.Now())
-		}
-		pr.cur.frame = pr.cur.frame[:0]
-		pr.free <- pr.cur
-		pr.cur = nil
-	}
-	var s *pipeSlot
-	var ok bool
-	var cancelled error
-	if telemetry.Enabled() {
-		t := telemetry.Start()
-		s, ok, cancelled = pr.recvSlot()
-		t.Stop(&telemetry.PipelineConsumerStalls)
-	} else {
-		s, ok, cancelled = pr.recvSlot()
-	}
-	if cancelled != nil {
-		pr.err = cancelled
-		return pr.err
-	}
-	if !ok {
 		// The prefetcher may have exited because the context fired rather
 		// than because the stream ended; report the cancellation, not EOF.
 		if pr.ctxDone != nil {
 			if err := pr.ctx.Err(); err != nil {
-				pr.err = err
-				return pr.err
+				return nil, err
 			}
 		}
-		pr.err = io.EOF
-		return io.EOF
+		return nil, io.EOF
+	case <-pr.ctxDone:
+		return nil, pr.ctx.Err()
+	}
+}
+
+// next is the deliver stage: it recycles the drained slot and makes the
+// next decoded frame current — prefetched and decoded now on the inline
+// schedule, taken from the ring when pipelined. The first terminal error,
+// io.EOF at the terminator included, is pinned and returned from every
+// later call, so no schedule reads past a failure.
+func (pr *PipeReader) next() error {
+	if pr.err != nil {
+		return pr.err
+	}
+	if pr.cur != nil {
+		if pr.tr != nil {
+			pr.tr.RecordSpan("pipe_frame", pr.cur.t0, time.Now())
+		}
+		if pr.free != nil {
+			pr.free <- pr.cur
+		}
+		pr.cur = nil
+	}
+	var s *pipeSlot
+	var err error
+	switch {
+	case pr.work == nil:
+		s = &pr.slot
+		if !pr.prefetch(s) {
+			err = io.EOF
+		} else {
+			pr.decode(s)
+		}
+	case telemetry.Enabled():
+		t := telemetry.Start()
+		s, err = pr.receive()
+		t.Stop(&telemetry.PipelineConsumerStalls)
+	default:
+		s, err = pr.receive()
+	}
+	if err != nil {
+		pr.err = err
+		return err
 	}
 	if s.err != nil {
-		return pr.fail(s)
+		telemetry.StreamFrameErrors.Inc()
+		pr.err = s.err
+		return pr.err
 	}
-	pr.cur = s
-	pr.pos = 0
+	pr.cur, pr.pos = s, 0
 	if telemetry.Enabled() {
 		telemetry.StreamFramesRead.Inc()
 	}
@@ -686,8 +648,7 @@ func (pr *PipeReader) Read(p []float32) (int, error) {
 		if pr.cur == nil || pr.pos == len(pr.cur.vals) {
 			if err := pr.next(); err != nil {
 				if total > 0 && err == io.EOF {
-					pr.err = nil // deliver what we have; EOF on the next call
-					return total, nil
+					return total, nil // deliver what we have; EOF on the next call
 				}
 				return total, err
 			}
@@ -728,15 +689,17 @@ func (pr *PipeReader) Close() error {
 		return nil
 	}
 	pr.closed = true
-	close(pr.stop)
-	// Drain the in-order queue so the prefetcher and workers are never
-	// stuck handing off a slot, then join everything.
-	go func() {
-		for s := range pr.emit {
-			<-s.done
-		}
-	}()
-	pr.wg.Wait()
+	if pr.stop != nil {
+		close(pr.stop)
+		// Drain the in-order queue so the prefetcher and workers are never
+		// stuck handing off a slot, then join everything.
+		go func() {
+			for s := range pr.emit {
+				<-s.done
+			}
+		}()
+		pr.wg.Wait()
+	}
 	if pr.err == nil {
 		pr.err = errors.New("szx: read after Close")
 	}

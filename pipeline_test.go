@@ -14,7 +14,7 @@ import (
 	"time"
 )
 
-// serialStreamBytes compresses data through the serial Writer, the byte
+// serialStreamBytes compresses data through the inline Writer, the byte
 // reference every pipelined configuration must reproduce exactly.
 func serialStreamBytes(t *testing.T, data []float32, opt Options, chunk int) []byte {
 	t.Helper()
@@ -30,7 +30,7 @@ func serialStreamBytes(t *testing.T, data []float32, opt Options, chunk int) []b
 }
 
 // TestPipeWriterByteIdentity pins the tentpole invariant: the pipelined
-// writer's output is byte-identical to the serial Writer's for every
+// writer's output is byte-identical to the inline Writer's for every
 // parallelism, chunk size (including ragged tails), and write-slicing
 // pattern.
 func TestPipeWriterByteIdentity(t *testing.T) {
@@ -98,9 +98,9 @@ func sumOf(b []byte) []byte {
 	return s[:]
 }
 
-// TestPipeReaderRoundTrip drives the pipelined reader over serial Writer
+// TestPipeReaderRoundTrip drives the pipelined reader over inline Writer
 // output at several parallelisms and read granularities, checking values
-// against the serial Reader bit for bit.
+// against the inline Reader bit for bit.
 func TestPipeReaderRoundTrip(t *testing.T) {
 	data := testField(250000, 29)
 	blob := serialStreamBytes(t, data, Options{ErrorBound: 1e-3}, 10007)
@@ -246,7 +246,7 @@ func (f *failAfterWriter) Write(p []byte) (int, error) {
 }
 
 // TestPipeReaderFrameError pins that the pipelined reader reports
-// corruption exactly like the serial Reader: same FrameError index/offset,
+// corruption exactly like the inline Reader: same FrameError index/offset,
 // same unwrapping, first frame error wins even when later frames are
 // already in flight.
 func TestPipeReaderFrameError(t *testing.T) {
@@ -504,6 +504,29 @@ func TestPipeGoroutineLeaks(t *testing.T) {
 		waitGoroutines(t, baseline)
 	})
 
+	t.Run("inline writer", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		var buf bytes.Buffer
+		w := NewWriter(&buf, Options{ErrorBound: 1e-3}, 1<<14)
+		if err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, baseline) // mid-stream: nothing runs in the background
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, baseline)
+	})
+
+	t.Run("inline reader abandoned mid-stream without Close", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		r := NewReader(bytes.NewReader(blob))
+		if _, err := r.Read(make([]float32, 1000)); err != nil {
+			t.Fatal(err)
+		}
+		waitGoroutines(t, baseline)
+	})
+
 	t.Run("timestream close paths", func(t *testing.T) {
 		baseline := runtime.NumGoroutine()
 		var buf bytes.Buffer
@@ -529,7 +552,7 @@ func TestPipeGoroutineLeaks(t *testing.T) {
 }
 
 // TestPipeCrossSerial round-trips pipelined writer output through the
-// serial reader and vice versa — the two paths must interoperate freely.
+// inline reader and vice versa — the two paths must interoperate freely.
 func TestPipeCrossSerial(t *testing.T) {
 	data := testField(150000, 37)
 	var buf bytes.Buffer
@@ -619,6 +642,35 @@ func TestTimeStreamRoundTrip(t *testing.T) {
 		t.Fatalf("truncated temporal stream: %v", terr)
 	}
 	_ = trunc.Close()
+}
+
+// TestTimeStreamGoldenHash pins the SZXT container bytes with a literal
+// hash, the temporal counterpart of TestPipeStreamGoldenHash: a keyframe,
+// delta frames, and the empty container's header-plus-terminator.
+func TestTimeStreamGoldenHash(t *testing.T) {
+	const golden = "748b413f9a8f78a624017f81abed9a25e29287cda08025d4b95162e6a18940f8"
+	write := func(frames [][]float32) []byte {
+		var buf bytes.Buffer
+		tw, err := NewTimeStreamWriter(&buf, Options{ErrorBound: 1e-4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, f := range frames {
+			if err := tw.WriteFrame(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	if got := hex.EncodeToString(sumOf(write(evolveFrames(20000, 6, 7)))); got != golden {
+		t.Fatalf("temporal stream hash drifted: %s", got)
+	}
+	if got, want := write(nil), []byte("SZXT\x01\x00\x00\x00\x00"); !bytes.Equal(got, want) {
+		t.Fatalf("empty temporal container = %q, want %q", got, want)
+	}
 }
 
 // TestArchivePipelined checks the concurrent archive writer: identical

@@ -471,33 +471,6 @@ func streamOverhead(n, bs int) int {
 
 // --- streaming (per-chunk) resolution --------------------------------------
 
-// streamRatio carries fixed-ratio state across a stream's chunks: the
-// first chunk runs the full bound search and its bound seeds every later
-// chunk's cheap re-estimation. The resolution for chunk k is a pure
-// function of (options, seed, chunk values), which is what keeps the
-// serial Writer and the pipelined PipeWriter byte-identical.
-type streamRatio struct {
-	seed   float64
-	seeded bool
-}
-
-// chunkBound resolves the bound for the next chunk in submission order.
-// Only the seeding call mutates the receiver; for a pipelined writer it
-// must happen on the producer goroutine (before the chunk is handed to
-// the workers), after which the state is read-only.
-func (r *streamRatio) chunkBound(chunk []float32, opt Options) (float64, error) {
-	if !r.seeded {
-		p, err := ResolvePlan(chunk, opt)
-		if err != nil {
-			return 0, err
-		}
-		r.seed = p.Bound
-		r.seeded = true
-		return p.Bound, nil
-	}
-	return ratioChunkBound(opt, r.seed, chunk)
-}
-
 // ratioChunkBound re-resolves the bound for one follow-on stream chunk:
 // probe the seed bound against this chunk's values and keep it while the
 // estimate stays within tolerance (the common case — chunks of one

@@ -248,7 +248,7 @@ func TestResolvePlanRelative(t *testing.T) {
 	}
 }
 
-// TestTargetRatioStreamIdentity pins that the serial Writer and the
+// TestTargetRatioStreamIdentity pins that the inline Writer and the
 // pipelined PipeWriter produce byte-identical fixed-ratio streams, chunk
 // re-estimation included.
 func TestTargetRatioStreamIdentity(t *testing.T) {

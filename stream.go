@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/core"
-	"repro/telemetry"
 )
 
 // Streaming codec: an io.Writer/io.Reader pair that carries an unbounded
@@ -59,21 +58,19 @@ func (e *FrameError) Error() string {
 // Unwrap exposes both ErrStream and the underlying cause.
 func (e *FrameError) Unwrap() []error { return []error{ErrStream, e.Err} }
 
-// Writer compresses a stream of float32 values chunk by chunk.
-type Writer struct {
-	w      io.Writer
-	opt    Options
-	chunk  int
-	buf    []float32
-	comp   []byte // reused compressed-chunk buffer
-	ratio  streamRatio
-	err    error
-	opened bool
-	closed bool
-}
+// Writer and Reader are the streaming engine on its inline schedule (see
+// pipeline.go): NewWriter and NewReader run every stage on the caller's
+// goroutine, so nothing runs in the background and a Reader needs no Close.
+type (
+	Writer = PipeWriter
+	Reader = PipeReader
+)
 
 // NewWriter returns a streaming compressor writing to w. ChunkValues
-// controls the chunk granularity (0 = DefaultChunkValues).
+// controls the chunk granularity (0 = DefaultChunkValues). Each chunk is
+// compressed on the caller's goroutine with opt as given, so opt.Workers
+// parallelizes within a chunk; Close flushes the tail chunk and writes the
+// terminator.
 func NewWriter(w io.Writer, opt Options, chunkValues int) *Writer {
 	if chunkValues <= 0 {
 		chunkValues = DefaultChunkValues
@@ -81,244 +78,114 @@ func NewWriter(w io.Writer, opt Options, chunkValues int) *Writer {
 	return &Writer{w: w, opt: opt, chunk: chunkValues}
 }
 
-// Write buffers values, compressing and emitting full chunks. Large inputs
-// are chunked directly from the caller's slice without re-buffering.
-func (sw *Writer) Write(values []float32) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return errors.New("szx: write after Close")
-	}
-	for len(values) > 0 {
-		if len(sw.buf) == 0 && len(values) >= sw.chunk {
-			if err := sw.flushChunk(values[:sw.chunk]); err != nil {
-				return err
-			}
-			values = values[sw.chunk:]
-			continue
-		}
-		need := sw.chunk - len(sw.buf)
-		if need > len(values) {
-			need = len(values)
-		}
-		sw.buf = append(sw.buf, values[:need]...)
-		values = values[need:]
-		if len(sw.buf) == sw.chunk {
-			if err := sw.flushChunk(sw.buf); err != nil {
-				return err
-			}
-			sw.buf = sw.buf[:0]
-		}
-	}
-	return nil
-}
-
-func (sw *Writer) flushChunk(chunk []float32) error {
-	// Stage the whole frame — container magic (first chunk only), the u32
-	// frame length, and the compressed payload — in one reused buffer and
-	// emit it with a single Write. The instrument-streaming path calls this
-	// per chunk, so coalescing turns three syscalls (or three bufio copies)
-	// into one; the length is backfilled after compression since it is not
-	// known up front.
-	buf := sw.comp[:0]
-	if !sw.opened {
-		buf = append(buf, streamMagic...)
-		buf = append(buf, streamVersion)
-	}
-	hdrOff := len(buf)
-	buf = append(buf, 0, 0, 0, 0)
-	copt := sw.opt
-	if sw.opt.TargetRatio > 0 {
-		// Fixed-ratio streaming: the first chunk runs the full bound
-		// search; each later chunk re-estimates from that seed (same pure
-		// resolution the pipelined writer uses, keeping the bytes
-		// identical).
-		b, err := sw.ratio.chunkBound(chunk, sw.opt)
-		if err != nil {
-			sw.err = err
-			return err
-		}
-		copt = sw.opt.withBound(b)
-	}
-	buf, err := CompressInto(buf, chunk, copt)
-	if err != nil {
-		sw.err = err
-		return err
-	}
-	binary.LittleEndian.PutUint32(buf[hdrOff:], uint32(len(buf)-hdrOff-4))
-	sw.comp = buf
-	if _, err := sw.w.Write(buf); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.opened = true
-	if telemetry.Enabled() {
-		telemetry.StreamFramesWritten.Inc()
-	}
-	return nil
-}
-
-// Close flushes any buffered tail chunk and writes the terminator.
-func (sw *Writer) Close() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return nil
-	}
-	if len(sw.buf) > 0 {
-		if err := sw.flushChunk(sw.buf); err != nil {
-			return err
-		}
-		sw.buf = sw.buf[:0]
-	}
-	// Terminator, prefixed by the container magic when no chunk was ever
-	// flushed (empty stream), emitted as one Write.
-	tail := sw.comp[:0]
-	if !sw.opened {
-		tail = append(tail, streamMagic...)
-		tail = append(tail, streamVersion)
-	}
-	tail = append(tail, 0, 0, 0, 0)
-	sw.comp = tail
-	if _, err := sw.w.Write(tail); err != nil {
-		sw.err = err
-		return err
-	}
-	sw.opened = true
-	sw.closed = true
-	return nil
-}
-
-// Reader decompresses a stream produced by Writer.
-type Reader struct {
-	r        io.Reader
-	buf      []float32 // decoded values not yet delivered (reused per chunk)
-	frame    []byte    // reused compressed-frame buffer
-	pos      int
-	frameIdx int   // index of the next frame to read
-	byteOff  int64 // container bytes consumed so far
-	opened   bool
-	done     bool
-	err      error
-}
-
-// NewReader returns a streaming decompressor reading from r.
+// NewReader returns a streaming decompressor reading from r that reads and
+// decodes each frame on the caller's goroutine when Read needs it.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: r}
+	return &Reader{frames: frameReader{codec: &streamFrames, r: r}}
 }
 
-// Read fills p with decompressed values, returning the count. It returns
-// io.EOF after the final chunk is exhausted.
-func (sr *Reader) Read(p []float32) (int, error) {
-	if sr.err != nil {
-		return 0, sr.err
-	}
-	total := 0
-	for total < len(p) {
-		if sr.pos == len(sr.buf) {
-			if err := sr.nextChunk(); err != nil {
-				if total > 0 && err == io.EOF {
-					return total, nil
-				}
-				return total, err
-			}
-		}
-		n := copy(p[total:], sr.buf[sr.pos:])
-		sr.pos += n
-		total += n
-	}
-	return total, nil
+// frameCodec is one length-prefixed container format, shared by SZXS and
+// SZXT:
+//
+//	magic(4) u8(version)
+//	repeat: u32 frameLen (1..maxFrameLen) | frameLen payload bytes
+//	u32(0) terminator
+//
+// The containers differ only in their header and in how they wrap errors.
+type frameCodec struct {
+	magic   string
+	version byte
+	// malformed wraps container-header failures; frameErr wraps the cause
+	// of a bad frame with its index and the offset of its length prefix.
+	malformed error
+	frameErr  func(idx int, off int64, cause error) error
 }
 
-// ReadAll decompresses the remainder of the stream.
-func (sr *Reader) ReadAll() ([]float32, error) {
-	var out []float32
-	for {
-		if sr.pos < len(sr.buf) {
-			out = append(out, sr.buf[sr.pos:]...)
-			sr.pos = len(sr.buf)
-		}
-		if err := sr.nextChunk(); err != nil {
-			if err == io.EOF {
-				return out, nil
-			}
-			return out, err
-		}
-	}
+// maxFrameLen caps a frame's length prefix.
+const maxFrameLen = 1 << 31
+
+var streamFrames = frameCodec{
+	magic: streamMagic, version: streamVersion, malformed: ErrStream,
+	frameErr: func(idx int, off int64, cause error) error {
+		return &FrameError{Frame: idx, Offset: off, Err: cause}
+	},
 }
 
-// frameErr records a frame-level failure: it counts it, pins it as the
-// Reader's terminal error, and wraps it with the frame index and the byte
-// offset of the frame's length prefix.
-func (sr *Reader) frameErr(off int64, cause error) error {
-	telemetry.StreamFrameErrors.Inc()
-	sr.err = &FrameError{Frame: sr.frameIdx, Offset: off, Err: cause}
-	return sr.err
+// beginFrame appends the container header when first, then a zero length
+// prefix that endFrame sets once the payload follows it; it returns the
+// prefix's offset. A frame left empty is the terminator.
+func (c *frameCodec) beginFrame(dst []byte, first bool) ([]byte, int) {
+	if first {
+		dst = append(dst, c.magic...)
+		dst = append(dst, c.version)
+	}
+	return append(dst, 0, 0, 0, 0), len(dst)
 }
 
-func (sr *Reader) nextChunk() error {
-	if sr.done {
-		return io.EOF
-	}
-	if !sr.opened {
+// endFrame sets the length prefix at off to the payload appended after it.
+func endFrame(frame []byte, off int) {
+	binary.LittleEndian.PutUint32(frame[off:], uint32(len(frame)-off-4))
+}
+
+// appendEnd appends the terminator, after the container header when no
+// frame precedes it.
+func (c *frameCodec) appendEnd(dst []byte, first bool) []byte {
+	dst, _ = c.beginFrame(dst, first)
+	return dst
+}
+
+// frameReader reads a container's frames in order, header first.
+type frameReader struct {
+	codec *frameCodec
+	r     io.Reader
+	idx   int   // index of the next frame
+	off   int64 // container bytes consumed
+}
+
+// next reads the next frame's payload into dst (reused) and returns it with
+// the frame's index and the offset of its length prefix. It returns io.EOF
+// at the terminator; any other error is final and wrapped by the codec.
+func (fr *frameReader) next(dst []byte) (frame []byte, idx int, off int64, err error) {
+	c := fr.codec
+	if fr.off == 0 {
 		var hdr [5]byte
-		if _, err := io.ReadFull(sr.r, hdr[:]); err != nil {
-			telemetry.StreamFrameErrors.Inc()
-			sr.err = fmt.Errorf("%w: container header: %w", ErrStream, err)
-			return sr.err
+		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
+			return dst, 0, 0, fmt.Errorf("%w: container header: %w", c.malformed, err)
 		}
-		if string(hdr[:4]) != streamMagic || hdr[4] != streamVersion {
-			telemetry.StreamFrameErrors.Inc()
-			sr.err = ErrStream
-			return sr.err
+		if string(hdr[:4]) != c.magic || hdr[4] != c.version {
+			return dst, 0, 0, c.malformed
 		}
-		sr.opened = true
-		sr.byteOff = 5
+		fr.off = int64(len(hdr))
 	}
-	frameOff := sr.byteOff // offset of this frame's u32 length prefix
+	idx, off = fr.idx, fr.off
 	var lenBuf [4]byte
-	if _, err := io.ReadFull(sr.r, lenBuf[:]); err != nil {
-		return sr.frameErr(frameOff, fmt.Errorf("truncated frame header: %w", err))
+	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
+		return dst, idx, off, c.frameErr(idx, off, fmt.Errorf("truncated frame header: %w", err))
 	}
-	sr.byteOff += 4
-	frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-	if frameLen == 0 {
-		sr.done = true
-		return io.EOF
+	fr.off += 4
+	n := binary.LittleEndian.Uint32(lenBuf[:])
+	if n == 0 {
+		return dst, idx, off, io.EOF
 	}
-	if frameLen > 1<<31 {
-		return sr.frameErr(frameOff, fmt.Errorf("frame length %d out of range", frameLen))
+	if n > maxFrameLen {
+		return dst, idx, off, c.frameErr(idx, off, fmt.Errorf("frame length %d out of range", n))
 	}
-	frame, got, err := readFrameBody(sr.r, sr.frame, int(frameLen))
-	sr.frame = frame
-	sr.byteOff += int64(got)
+	frame, err = readFrameBody(fr.r, dst, int(n))
+	fr.off += int64(len(frame))
 	if err != nil {
-		return sr.frameErr(frameOff, fmt.Errorf("truncated frame (%d of %d payload bytes): %w",
-			got, frameLen, err))
+		return frame, idx, off, c.frameErr(idx, off,
+			fmt.Errorf("truncated frame (%d of %d payload bytes): %w", len(frame), n, err))
 	}
-	vals, err := DecompressInto(sr.buf[:0], frame)
-	if err != nil {
-		return sr.frameErr(frameOff, err)
-	}
-	sr.buf = vals
-	sr.pos = 0
-	sr.frameIdx++
-	if telemetry.Enabled() {
-		telemetry.StreamFramesRead.Inc()
-	}
-	return nil
+	fr.idx++
+	return frame, idx, off, nil
 }
 
 // readFrameBody reads frameLen payload bytes from r directly into the
 // (reused) dst buffer, growing it incrementally so a forged length prefix
 // cannot force a huge up-front allocation: capacity starts at ≤1 MiB and
 // doubles only as real bytes arrive, so memory stays proportional to what
-// was actually received. It returns the filled buffer, the payload bytes
-// received (= len of the returned buffer), and any read error. Shared by
-// the serial Reader and the PipeReader prefetcher.
-func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, int, error) {
+// was actually received. It returns the bytes received and any read error.
+func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, error) {
 	const step = 1 << 20
 	frame := dst[:0]
 	if cap(frame) < min(frameLen, step) {
@@ -338,10 +205,10 @@ func readFrameBody(r io.Reader, dst []byte, frameLen int) ([]byte, int, error) {
 		got, err := io.ReadFull(r, frame[off:off+n])
 		frame = frame[:off+got]
 		if err != nil {
-			return frame, len(frame), err
+			return frame, err
 		}
 	}
-	return frame, len(frame), nil
+	return frame, nil
 }
 
 // --- random access ---------------------------------------------------------

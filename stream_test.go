@@ -309,6 +309,55 @@ func TestStreamFrameError(t *testing.T) {
 	})
 }
 
+// TestStreamReaderKeepsFirstError pins that both read schedules keep the
+// first terminal error: after a corrupt middle frame, a second ReadAll
+// (and a Read) returns the same FrameError and no values instead of
+// reading on past the bad frame.
+func TestStreamReaderKeepsFirstError(t *testing.T) {
+	var buf bytes.Buffer
+	w := NewWriter(&buf, Options{ErrorBound: 1e-3}, 1000)
+	if err := w.Write(testField(3000, 22)); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bad := buf.Bytes()
+	offs := streamFrameOffsets(t, bad)
+	if len(offs) != 3 {
+		t.Fatalf("got %d frames; want 3", len(offs))
+	}
+	copy(bad[offs[1]+4:], "junk") // clobber frame 1's SZx magic
+
+	for _, tc := range []struct {
+		name string
+		open func(io.Reader) *Reader
+	}{
+		{"NewReader", NewReader},
+		{"NewPipeReader", func(r io.Reader) *Reader { return NewPipeReader(r, 2) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := tc.open(bytes.NewReader(bad))
+			defer r.Close()
+			out, err := r.ReadAll()
+			var fe *FrameError
+			if !errors.As(err, &fe) || fe.Frame != 1 || fe.Offset != offs[1] {
+				t.Fatalf("first ReadAll: %v; want a FrameError for frame 1 at offset %d", err, offs[1])
+			}
+			if len(out) != 1000 {
+				t.Fatalf("first ReadAll recovered %d values; want 1000", len(out))
+			}
+			out, again := r.ReadAll()
+			if again != err || len(out) != 0 {
+				t.Fatalf("second ReadAll: %d values, %v; want 0 values and %v", len(out), again, err)
+			}
+			if n, again := r.Read(make([]float32, 10)); again != err || n != 0 {
+				t.Fatalf("Read after the error: %d values, %v; want 0 values and %v", n, again, err)
+			}
+		})
+	}
+}
+
 func TestStreamRelativeMode(t *testing.T) {
 	data := testField(80000, 14)
 	var buf bytes.Buffer

@@ -1,7 +1,6 @@
 package szx
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -16,8 +15,9 @@ import (
 // overlaps. TimeStreamWriter hands each compressed frame to an emitter
 // goroutine so frame n+1's residual computation runs while frame n's bytes
 // are in flight to the sink; TimeStreamReader prefetches frames ahead of
-// the decoder the same way. Both ends use a simple length-prefixed
-// container mirroring the value-stream one:
+// the decoder the same way. Both ends use the value stream's frame codec
+// (see frameCodec) under their own magic, one TimeCompressor frame per
+// frame:
 //
 //	"SZXT" u8(version)
 //	repeat: u32 frameLen | one TimeCompressor frame
@@ -35,6 +35,13 @@ const (
 // ErrTimeStream reports a malformed temporal streaming container.
 var ErrTimeStream = errors.New("szx: malformed temporal stream container")
 
+var timeFrames = frameCodec{
+	magic: timeStreamMagic, version: timeStreamVersion, malformed: ErrTimeStream,
+	frameErr: func(_ int, _ int64, cause error) error {
+		return fmt.Errorf("%w: %w", ErrTimeStream, cause)
+	},
+}
+
 // TimeStreamWriter writes a TimeCompressor frame sequence to w, compressing
 // the next frame while the previous one's bytes are being written. Not safe
 // for concurrent use; Close flushes, writes the terminator, and joins the
@@ -45,6 +52,7 @@ type TimeStreamWriter struct {
 	pend   chan []byte
 	done   chan struct{}
 	perr   pipeErr
+	frames int // frames queued, counted on the caller's goroutine
 	closed bool
 }
 
@@ -71,37 +79,23 @@ func NewTimeStreamWriter(w io.Writer, opt Options) (*TimeStreamWriter, error) {
 
 func (tw *TimeStreamWriter) emitter() {
 	defer close(tw.done)
-	var hdr [4]byte
+	var buf []byte // staged frame, reused
 	first := true
-	for frame := range tw.pend {
+	for comp := range tw.pend {
 		if tw.perr.get() != nil {
 			continue // drain after failure; first error stays pinned
 		}
-		if first {
-			if _, err := tw.w.Write(append([]byte(timeStreamMagic), timeStreamVersion)); err != nil {
-				tw.perr.set(err)
-				continue
-			}
-			first = false
-		}
-		binary.LittleEndian.PutUint32(hdr[:], uint32(len(frame)))
-		if _, err := tw.w.Write(hdr[:]); err != nil {
+		var at int
+		buf, at = timeFrames.beginFrame(buf[:0], first)
+		buf = append(buf, comp...)
+		endFrame(buf, at)
+		if _, err := tw.w.Write(buf); err != nil {
 			tw.perr.set(err)
 			continue
 		}
-		if _, err := tw.w.Write(frame); err != nil {
-			tw.perr.set(err)
-			continue
-		}
+		first = false
 		if telemetry.Enabled() {
 			telemetry.StreamFramesWritten.Inc()
-		}
-	}
-	if first && tw.perr.get() == nil {
-		// Empty stream: emit the magic so Close's terminator lands in a
-		// well-formed container.
-		if _, err := tw.w.Write(append([]byte(timeStreamMagic), timeStreamVersion)); err != nil {
-			tw.perr.set(err)
 		}
 	}
 }
@@ -130,6 +124,7 @@ func (tw *TimeStreamWriter) WriteFrame(frame []float32) error {
 	} else {
 		tw.pend <- comp
 	}
+	tw.frames++
 	return nil
 }
 
@@ -145,7 +140,9 @@ func (tw *TimeStreamWriter) Close() error {
 	if err := tw.perr.get(); err != nil {
 		return err
 	}
-	if _, err := tw.w.Write([]byte{0, 0, 0, 0}); err != nil {
+	// The terminator and, for an empty stream, the container header before
+	// it, in one Write.
+	if _, err := tw.w.Write(timeFrames.appendEnd(nil, tw.frames == 0)); err != nil {
 		tw.perr.set(err)
 		return err
 	}
@@ -201,38 +198,14 @@ func (tr *TimeStreamReader) deliver(f timeFrame) bool {
 func (tr *TimeStreamReader) prefetch(r io.Reader) {
 	defer tr.wg.Done()
 	defer close(tr.pend)
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		tr.deliver(timeFrame{err: fmt.Errorf("%w: container header: %w", ErrTimeStream, err)})
-		return
-	}
-	if string(hdr[:4]) != timeStreamMagic || hdr[4] != timeStreamVersion {
-		tr.deliver(timeFrame{err: ErrTimeStream})
-		return
-	}
+	frames := frameReader{codec: &timeFrames, r: r}
 	for {
-		var lenBuf [4]byte
-		if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: truncated frame header: %w", ErrTimeStream, err)})
-			return
-		}
-		frameLen := binary.LittleEndian.Uint32(lenBuf[:])
-		if frameLen == 0 {
+		// Each frame travels to the consumer, so it gets its own buffer.
+		comp, _, _, err := frames.next(nil)
+		if err == io.EOF {
 			return // clean terminator
 		}
-		if frameLen > 1<<31 {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: frame length %d out of range", ErrTimeStream, frameLen)})
-			return
-		}
-		// Each frame travels to the consumer, so it gets its own buffer
-		// (grown incrementally against forged lengths, like readFrameBody).
-		frame, got, err := readFrameBody(r, nil, int(frameLen))
-		if err != nil {
-			tr.deliver(timeFrame{err: fmt.Errorf("%w: truncated frame (%d of %d payload bytes): %w",
-				ErrTimeStream, got, frameLen, err)})
-			return
-		}
-		if !tr.deliver(timeFrame{comp: frame}) {
+		if !tr.deliver(timeFrame{comp: comp, err: err}) || err != nil {
 			return
 		}
 	}
