@@ -127,14 +127,7 @@ func (aw *ArchiveWriter) add(name string, dims []int, n int, compress func(dst [
 	if aw.names[name] {
 		return ErrFieldExists
 	}
-	p := 1
-	for _, d := range dims {
-		if d < 1 {
-			return ErrFieldDims
-		}
-		p *= d
-	}
-	if len(dims) == 0 || p != n {
+	if p, ok := dimsProduct(dims); !ok || len(dims) == 0 || p != n {
 		return ErrFieldDims
 	}
 	f := &archiveField{name: name, dims: append([]int(nil), dims...)}
@@ -324,14 +317,16 @@ func OpenArchive(data []byte) (*Archive, error) {
 			return nil, ErrArchive
 		}
 		dims := make([]int, ndims)
-		nv := 1
 		for d := range dims {
 			dims[d] = int(binary.LittleEndian.Uint64(data[pos:]))
 			pos += 8
 			if dims[d] < 1 || dims[d] > 1<<40 {
 				return nil, ErrArchive
 			}
-			nv *= dims[d]
+		}
+		nv, ok := dimsProduct(dims)
+		if !ok {
+			return nil, ErrArchive
 		}
 		plen := int(binary.LittleEndian.Uint64(data[pos:]))
 		pos += 8
@@ -345,17 +340,21 @@ func OpenArchive(data []byte) (*Archive, error) {
 	}
 	a := &Archive{payloads: make(map[string][]byte, n)}
 	for _, e := range entries {
-		if pos+e.plen > len(data) {
+		if e.plen > len(data)-pos {
 			return nil, ErrArchive
 		}
 		payload := data[pos : pos+e.plen]
 		pos += e.plen
-		if h, err := Info(payload); err == nil {
-			e.info.ErrBound = h.ErrBound
-			e.info.Type = h.Type
-		} else {
+		h, err := Info(payload)
+		if err != nil {
 			return nil, fmt.Errorf("%w: field %q: %v", ErrArchive, e.info.Name, err)
 		}
+		if h.N != e.info.NumValues {
+			return nil, fmt.Errorf("%w: field %q: dims describe %d values, payload holds %d",
+				ErrArchive, e.info.Name, e.info.NumValues, h.N)
+		}
+		e.info.ErrBound = h.ErrBound
+		e.info.Type = h.Type
 		if _, dup := a.payloads[e.info.Name]; dup {
 			return nil, fmt.Errorf("%w: duplicate field %q", ErrArchive, e.info.Name)
 		}
@@ -363,6 +362,19 @@ func OpenArchive(data []byte) (*Archive, error) {
 		a.infos = append(a.infos, e.info)
 	}
 	return a, nil
+}
+
+// dimsProduct returns the number of values dims describe, and false when
+// a dim is below 1 or the product overflows an int.
+func dimsProduct(dims []int) (int, bool) {
+	p := 1
+	for _, d := range dims {
+		if d < 1 || p > math.MaxInt/d {
+			return 0, false
+		}
+		p *= d
+	}
+	return p, true
 }
 
 // Fields lists the archived fields in name order.

@@ -1,6 +1,8 @@
 package szx
 
 import (
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
@@ -122,7 +124,38 @@ func TestArchiveWriterErrors(t *testing.T) {
 	}
 }
 
+// forgedArchives returns single-field archives whose TOC lies about the
+// payload: a payload length that overflows the read offset, and dims whose
+// product overflows over a valid 16-value payload.
+func forgedArchives(tb testing.TB) [][]byte {
+	tb.Helper()
+	payload, err := Compress(testField(16, 1), Options{ErrorBound: 1e-3})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	forge := func(dims []uint64, plen uint64, payload []byte) []byte {
+		b := append([]byte(archiveMagic), archiveVersion)
+		b = binary.LittleEndian.AppendUint32(b, 1)
+		b = binary.LittleEndian.AppendUint16(b, 1)
+		b = append(b, 'x', byte(len(dims)))
+		for _, d := range dims {
+			b = binary.LittleEndian.AppendUint64(b, d)
+		}
+		b = binary.LittleEndian.AppendUint64(b, plen)
+		return append(b, payload...)
+	}
+	return [][]byte{
+		forge([]uint64{4, 4}, math.MaxInt64, nil),
+		forge([]uint64{1 << 40, 1 << 40}, uint64(len(payload)), payload),
+	}
+}
+
 func TestArchiveCorrupt(t *testing.T) {
+	for i, forged := range forgedArchives(t) {
+		if _, err := OpenArchive(forged); !errors.Is(err, ErrArchive) {
+			t.Errorf("forged archive %d: err = %v, want ErrArchive", i, err)
+		}
+	}
 	blob, _ := buildArchive(t)
 	if _, err := OpenArchive(blob[:4]); err == nil {
 		t.Error("short archive accepted")

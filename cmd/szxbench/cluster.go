@@ -112,8 +112,8 @@ var clusterPolicies = []struct {
 
 func runClusterLevel(nodes []string, name string, policy client.Policy, hedged bool, clients int, benchtime time.Duration) (clusterLevel, error) {
 	cc, err := client.NewCluster(client.ClusterConfig{
-		Nodes:        nodes,
-		Policy:       policy,
+		Nodes:  nodes,
+		Policy: policy,
 		// MaxDelay well under the saturated tail: the adaptive trigger
 		// stays exercised but a stalled request hedges within 100ms, so
 		// the artifact records fired/won counts instead of a trigger that

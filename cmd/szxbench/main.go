@@ -44,17 +44,17 @@ func main() {
 		only    = flag.String("only", "", "comma-separated artifact ID prefixes to run")
 		mdPath  = flag.String("md", "", "also write a markdown report to this file")
 
-		hotpath   = flag.String("hotpath", "", "run hot-path A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
-		kernel    = flag.String("kernel", "", "run the per-kernel generic-vs-dispatched sweep and write JSON snapshot to this file ('-' = stdout)")
-		benchtime = flag.Duration("benchtime", 2*time.Second, "per-benchmark target time in -hotpath/-obs mode")
-		obs       = flag.String("obs", "", "run telemetry-overhead A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
-		stream    = flag.String("stream", "", "run streaming dump/load A/B (serial vs pipelined) and write JSON snapshot to this file ('-' = stdout)")
-		ratioOut  = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
-		serve     = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
+		hotpath      = flag.String("hotpath", "", "run hot-path A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
+		kernel       = flag.String("kernel", "", "run the per-kernel generic-vs-dispatched sweep and write JSON snapshot to this file ('-' = stdout)")
+		benchtime    = flag.Duration("benchtime", 2*time.Second, "per-benchmark target time in -hotpath/-obs mode")
+		obs          = flag.String("obs", "", "run telemetry-overhead A/B benchmarks and write JSON snapshot to this file ('-' = stdout)")
+		stream       = flag.String("stream", "", "run streaming dump/load A/B (serial vs pipelined) and write JSON snapshot to this file ('-' = stdout)")
+		ratioOut     = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
+		serve        = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
 		clusterOut   = flag.String("cluster", "", "run the cluster routing sweep (1 vs 3 nodes, hash/least-loaded/hedged) and write JSON snapshot to this file ('-' = stdout)")
 		clusterNodes = flag.String("cluster-nodes", "", "with -cluster: drive this external comma-separated szxd fleet instead of in-process nodes; any failed request fails the run")
-		stats     = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
-		statsHTTP = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")
+		stats        = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
+		statsHTTP    = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")
 	)
 	flag.Parse()
 

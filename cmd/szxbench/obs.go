@@ -272,17 +272,19 @@ func runObs(outPath string, benchtime time.Duration) error {
 
 	// The enabled rounds above populated the telemetry histograms; fold the
 	// per-stage wall-clock breakdown into the report.
-	snap := telemetry.Snap()
+	meanMs := func(h *telemetry.Histogram) float64 { return math.Round(h.Snapshot().Mean/1e3) / 1e3 }
 	stages := obsStageBreakdown{
-		CompressCalls:    snap.Compress.Calls,
-		CompressMeanMs:   math.Round(snap.Compress.Durations.Mean/1e3) / 1e3,
-		DecompressCalls:  snap.Decompress.Calls,
-		DecompressMeanMs: math.Round(snap.Decompress.Durations.Mean/1e3) / 1e3,
-		BlocksConstant:   snap.Blocks.Constant,
-		BlocksNonConst:   snap.Blocks.NonConstant,
-		CompressRatio:    math.Round(snap.Compress.Ratio*100) / 100,
-		EncodePhaseMs:    math.Round(snap.Parallel.EncodePhase.Mean/1e3) / 1e3,
-		GatherPhaseMs:    math.Round(snap.Parallel.GatherPhase.Mean/1e3) / 1e3,
+		CompressCalls:    telemetry.CompressCalls.Load(),
+		CompressMeanMs:   meanMs(&telemetry.CompressDurations),
+		DecompressCalls:  telemetry.DecompressCalls.Load(),
+		DecompressMeanMs: meanMs(&telemetry.DecompressDurations),
+		BlocksConstant:   telemetry.BlocksConstant.Load(),
+		BlocksNonConst:   telemetry.BlocksNonConstant.Load(),
+		EncodePhaseMs:    meanMs(&telemetry.EncodePhaseDurations),
+		GatherPhaseMs:    meanMs(&telemetry.GatherPhaseDurations),
+	}
+	if out := telemetry.CompressBytesOut.Load(); out > 0 {
+		stages.CompressRatio = math.Round(float64(telemetry.CompressBytesIn.Load())/float64(out)*100) / 100
 	}
 
 	rep := obsReport{

@@ -16,6 +16,9 @@ func FuzzOpenArchive(f *testing.F) {
 	_ = aw.AddField("x", []int{64}, testField(64, 1))
 	f.Add(aw.Bytes())
 	f.Add([]byte("SZXA\x01\x00\x00\x00\x01"))
+	for _, forged := range forgedArchives(f) {
+		f.Add(forged)
+	}
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		a, err := OpenArchive(blob)
 		if err == nil {

@@ -41,9 +41,9 @@ func (a *admission) beginDrain() {
 	})
 }
 
-func (a *admission) draining() bool   { return a.isDrain.Load() }
-func (a *admission) inFlight() int    { return len(a.sem) }
-func (a *admission) queueDepth() int  { return int(a.queued.Load()) }
+func (a *admission) draining() bool  { return a.isDrain.Load() }
+func (a *admission) inFlight() int   { return len(a.sem) }
+func (a *admission) queueDepth() int { return int(a.queued.Load()) }
 
 // denial describes why admission refused a request.
 type denial struct {

@@ -174,7 +174,7 @@ func TestSelfAndDuplicatesSkipped(t *testing.T) {
 			"localhost:9001",         // self, host:port form
 			"http://localhost:9001/", // self again, URL form
 			"localhost:9002",
-			"http://localhost:9002",  // duplicate of the above
+			"http://localhost:9002", // duplicate of the above
 			"localhost:9003",
 		},
 	})

@@ -42,8 +42,9 @@
 // required-bit and leading-byte-code distributions, engine selection, the
 // work-stealing engine's internals, and per-stage wall times — behind a
 // single opt-in gate (telemetry.Enable). Disabled, the instrumentation
-// costs one atomic load per call. Snapshots export as a struct, expvar
-// JSON, or Prometheus text; cmd/szx and cmd/szxbench expose them via
+// costs one atomic load per call. One registry declares every series, and
+// each export surface (Prometheus text, the Snap series map and its expvar
+// JSON, the text report) walks it; cmd/szx and cmd/szxbench expose them via
 // -stats and -stats-http.
 package szx
 

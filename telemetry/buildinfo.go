@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -53,4 +54,13 @@ func GetBuildInfo() BuildInfo {
 		bi.Kernels = "unregistered"
 	}
 	return bi
+}
+
+// buildInfoSeries yields the szx_build_info series: a constant-1 gauge
+// whose labels carry the binary's identity, the conventional info-metric
+// shape for joining perf shifts to deploys.
+func buildInfoSeries(yield func(labels string, v int64) bool) {
+	bi := GetBuildInfo()
+	yield(fmt.Sprintf("{version=%q,revision=%q,goversion=%q,kernels=%q}",
+		bi.Version, bi.VCSRev, bi.GoVersion, bi.Kernels), 1)
 }

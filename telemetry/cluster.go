@@ -2,8 +2,8 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 )
 
@@ -37,12 +37,12 @@ var (
 	// Failure-detector state: instantaneous peer counts per state, and
 	// cumulative transitions into each state (a flapping peer shows up as a
 	// high transition rate with a steady state gauge).
-	ClusterPeersAlive   Gauge
-	ClusterPeersSuspect Gauge
-	ClusterPeersDead    Gauge
-	ClusterPeerToAlive  Counter
+	ClusterPeersAlive    Gauge
+	ClusterPeersSuspect  Gauge
+	ClusterPeersDead     Gauge
+	ClusterPeerToAlive   Counter
 	ClusterPeerToSuspect Counter
-	ClusterPeerToDead   Counter
+	ClusterPeerToDead    Counter
 
 	// Membership poll rounds completed.
 	ClusterPolls Counter
@@ -50,9 +50,8 @@ var (
 
 // clusterNodes is the per-node request tally: one counter per node address,
 // created on first use. Node sets are dynamic (they come from -peers or a
-// ClusterClient's node list at runtime), so this family lives outside the
-// static registry and is exported by the same dynamic-label mechanism as
-// szx_build_info.
+// ClusterClient's node list at runtime), so the registry exports this
+// family as a dynamic row, like szx_build_info.
 var clusterNodes struct {
 	mu sync.Mutex
 	m  map[string]*Counter
@@ -75,49 +74,22 @@ func ClusterNodeRequests(node string) *Counter {
 	return c
 }
 
-// clusterNodeSnapshot copies the per-node tallies (addresses with zero
-// counts included: a node that was registered but never routed to is
-// signal, not noise).
-func clusterNodeSnapshot() map[string]int64 {
+// clusterNodeSeries yields the per-node tallies in sorted label order
+// (addresses with zero counts included: a node that was registered but
+// never routed to is signal, not noise).
+func clusterNodeSeries(yield func(labels string, v int64) bool) {
 	clusterNodes.mu.Lock()
-	defer clusterNodes.mu.Unlock()
-	if len(clusterNodes.m) == 0 {
-		return nil
+	nodes := maps.Clone(clusterNodes.m)
+	clusterNodes.mu.Unlock()
+	for _, k := range slices.Sorted(maps.Keys(nodes)) {
+		if !yield(fmt.Sprintf("{node=%q}", k), nodes[k].Load()) {
+			return
+		}
 	}
-	out := make(map[string]int64, len(clusterNodes.m))
-	for k, c := range clusterNodes.m {
-		out[k] = c.Load()
-	}
-	return out
 }
 
 func resetClusterNodes() {
 	clusterNodes.mu.Lock()
 	defer clusterNodes.mu.Unlock()
 	clusterNodes.m = nil
-}
-
-// writePromClusterNodes emits the dynamic szx_cluster_node_requests_total
-// family in sorted label order (callers hold the scrape lock).
-func writePromClusterNodes(w io.Writer) error {
-	snap := clusterNodeSnapshot()
-	if len(snap) == 0 {
-		return nil
-	}
-	if _, err := fmt.Fprint(w,
-		"# HELP szx_cluster_node_requests_total Requests dispatched per cluster node by this process.\n"+
-			"# TYPE szx_cluster_node_requests_total counter\n"); err != nil {
-		return err
-	}
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		if _, err := fmt.Fprintf(w, "szx_cluster_node_requests_total{node=%q} %d\n", k, snap[k]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

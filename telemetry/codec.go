@@ -5,9 +5,10 @@ import (
 	"time"
 )
 
-// The codec metric set. Each var is one observable; the registry in
-// prometheus.go binds them to exposition names and help strings, and
-// snapshot.go assembles them into the typed Snapshot.
+// The codec metric set. Each var is one observable; its row in the
+// registry (prometheus.go) is the only place it is named for export, and
+// every surface (Prometheus, Snap and expvar, Report, Reset) walks that
+// registry.
 
 // Call-level compression/decompression totals.
 var (
@@ -46,20 +47,15 @@ var (
 	KernelDecodeScanCalls Counter
 )
 
-// kernelImpl/kernelDetail hold the dispatch decision (the impl name and the
-// human-readable form, e.g. "avx2 (cpu feature detection)") for snapshots,
-// reports, and re-assertion after Reset.
-var (
-	kernelImpl   atomic.Value
-	kernelDetail atomic.Value
-)
+// kernelDetail holds the dispatch decision in its human-readable form, e.g.
+// "avx2 (cpu feature detection)", for the build info.
+var kernelDetail atomic.Value
 
 // SetKernelDispatch records which block-kernel implementation set dispatch
-// selected. internal/core calls it once at init. Reset re-asserts the
-// gauges from the recorded decision, so a metrics reset cannot make the
-// info family claim no implementation is active.
+// selected. internal/core calls it once at init. Reset leaves the dispatch
+// gauges alone, so a metrics reset cannot make the info family claim no
+// implementation is active.
 func SetKernelDispatch(impl, detail string) {
-	kernelImpl.Store(impl)
 	kernelDetail.Store(detail)
 	set := func(g *Gauge, active bool) {
 		if active {

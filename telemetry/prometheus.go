@@ -10,9 +10,10 @@ import (
 	"sync"
 )
 
-// metric binds one exported observable to its Prometheus identity. Exactly
-// one of c/h/b is non-nil. Counters sharing a name (labeled series) must be
-// adjacent in the registry so HELP/TYPE headers are emitted once.
+// metric is one registry row: a counter, gauge or histogram series, or a
+// dynamic family whose label sets are known only at scrape time. Exactly
+// one of c/g/h/series is set. Rows sharing a name (labeled series of one
+// family) must be adjacent; the family's first row carries its help.
 type metric struct {
 	name   string // Prometheus metric family name
 	help   string
@@ -20,12 +21,22 @@ type metric struct {
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
-	b      *BitHist
 	scale  float64 // histogram value multiplier on export (ns→s = 1e-9)
-	blabel string  // BitHist label key
+
+	// series yields a dynamic family's (labels, value) pairs in a stable
+	// order; typ is its Prometheus type ("" = counter).
+	series func(yield func(labels string, v int64) bool)
+	typ    string
+	// reset, when set, replaces Reset's default zeroing of the row; a
+	// dynamic family without one has nothing to clear.
+	reset func()
+	// sparse omits the family's HELP/TYPE header while it has no series.
+	sparse bool
 }
 
 var registry = []metric{
+	{name: "szx_build_info", help: "Build identity of this binary; the value is always 1.", typ: "gauge", series: buildInfoSeries},
+
 	{name: "szx_compress_calls_total", help: "Compression calls completed.", c: &CompressCalls},
 	{name: "szx_compress_input_bytes_total", help: "Uncompressed bytes consumed by compression.", c: &CompressBytesIn},
 	{name: "szx_compress_output_bytes_total", help: "Compressed bytes produced.", c: &CompressBytesOut},
@@ -44,10 +55,10 @@ var registry = []metric{
 	{name: "szx_lead_code_values_total", labels: `{code="1"}`, c: &LeadCodes[1]},
 	{name: "szx_lead_code_values_total", labels: `{code="2"}`, c: &LeadCodes[2]},
 	{name: "szx_lead_code_values_total", labels: `{code="3"}`, c: &LeadCodes[3]},
-	{name: "szx_reqlen_blocks_total", help: "Nonconstant blocks by required bit count (Formula 4).", b: &ReqLenBits, blabel: "bits"},
+	{name: "szx_reqlen_blocks_total", help: "Nonconstant blocks by required bit count (Formula 4).", series: ReqLenBits.series, reset: ReqLenBits.reset},
 
-	{name: "szx_kernel_dispatched", help: "Dispatched block-kernel implementation set (the active set's series is 1); override with SZX_KERNELS.", labels: `{impl="generic"}`, g: &KernelDispatchGeneric},
-	{name: "szx_kernel_dispatched", labels: `{impl="avx2"}`, g: &KernelDispatchAVX2},
+	{name: "szx_kernel_dispatched", help: "Dispatched block-kernel implementation set (the active set's series is 1); override with SZX_KERNELS.", labels: `{impl="generic"}`, g: &KernelDispatchGeneric, reset: keep},
+	{name: "szx_kernel_dispatched", labels: `{impl="avx2"}`, g: &KernelDispatchAVX2, reset: keep},
 	{name: "szx_kernel_invocations_total", help: "Block-kernel invocations: stats runs once per encoded block, encode_scan once per truncation attempt (guard retries count each pass), decode_scan once per nonconstant block decoded.", labels: `{kernel="stats"}`, c: &KernelStatsCalls},
 	{name: "szx_kernel_invocations_total", labels: `{kernel="encode_scan"}`, c: &KernelEncodeScanCalls},
 	{name: "szx_kernel_invocations_total", labels: `{kernel="decode_scan"}`, c: &KernelDecodeScanCalls},
@@ -132,86 +143,98 @@ var registry = []metric{
 	{name: "szx_cluster_peer_transitions_total", labels: `{to="suspect"}`, c: &ClusterPeerToSuspect},
 	{name: "szx_cluster_peer_transitions_total", labels: `{to="dead"}`, c: &ClusterPeerToDead},
 	{name: "szx_cluster_polls_total", help: "Membership poll rounds completed.", c: &ClusterPolls},
+	{name: "szx_cluster_node_requests_total", help: "Requests dispatched per cluster node by this process.", series: clusterNodeSeries, reset: resetClusterNodes, sparse: true},
 }
 
-// scrapeMu serializes whole-page exports against Reset. Exports (scrapes,
-// Snap) take the read side, so concurrent scrapes still run in parallel;
-// Reset takes the write side, so a page is never assembled half-before,
-// half-after a reset — without the lock a scrape could emit a histogram
-// whose cumulative buckets exceed its own +Inf count (a torn page that
-// Prometheus rejects). Individual Observe/Inc calls stay lock-free; the
-// per-value races they permit are monotonic and harmless.
+// keep is the reset of info-style series that describe the process rather
+// than count its traffic (the kernel dispatch decision): Reset leaves them
+// as they are, so the family never claims that no set is active.
+func keep() {}
+
+// samples yields the row's counter, gauge or dynamic series; a histogram
+// row has none.
+func (m *metric) samples(yield func(labels string, v int64) bool) {
+	switch {
+	case m.c != nil:
+		yield(m.labels, m.c.Load())
+	case m.g != nil:
+		yield(m.labels, m.g.Load())
+	case m.series != nil:
+		m.series(yield)
+	}
+}
+
+func (m *metric) promType() string {
+	switch {
+	case m.h != nil:
+		return "histogram"
+	case m.g != nil:
+		return "gauge"
+	case m.typ != "":
+		return m.typ
+	}
+	return "counter"
+}
+
+// scrapeMu serializes whole-page exports against Reset. Exports
+// (WritePrometheus, Snap, Report) take the read side once each — never
+// recursively, which would deadlock against a waiting Reset — so
+// concurrent scrapes still run in parallel; Reset takes the write side, so
+// a page is never assembled half-before, half-after a reset — without the
+// lock a scrape could emit a histogram whose cumulative buckets exceed its
+// own +Inf count (a torn page that Prometheus rejects). Individual
+// Observe/Inc calls stay lock-free; the per-value races they permit are
+// monotonic and harmless.
 var scrapeMu sync.RWMutex
 
-// WritePrometheus emits every metric in the Prometheus text exposition
-// format (version 0.0.4). Counters become `counter` families (with labels
-// where a family is split by type/engine/code), Histograms become native
-// `histogram` families with power-of-two `le` buckets, and the BitHist
-// becomes a labeled counter family with one series per observed bit count.
-// The page is assembled under the scrape lock, so a concurrent Reset can
-// never tear it.
+// WritePrometheus emits every registry row in the Prometheus text
+// exposition format (version 0.0.4): counters and gauges as single samples,
+// dynamic families as one sample per yielded label set, and Histograms as
+// native `histogram` families with power-of-two `le` buckets. The page is
+// assembled under the scrape lock, so a concurrent Reset can never tear it.
 func WritePrometheus(w io.Writer) error {
 	scrapeMu.RLock()
 	defer scrapeMu.RUnlock()
-	if err := writePromBuildInfo(w); err != nil {
-		return err
-	}
-	prevName := ""
-	for _, m := range registry {
-		if m.name != prevName {
-			if m.help != "" {
-				if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
-					return err
-				}
-			}
-			typ := "counter"
-			switch {
-			case m.h != nil:
-				typ = "histogram"
-			case m.g != nil:
-				typ = "gauge"
-			}
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, typ); err != nil {
+	prev := ""
+	header := func(m *metric) error {
+		if m.name == prev {
+			return nil
+		}
+		prev = m.name
+		if m.help != "" {
+			if _, err := fmt.Fprintf(w, "# HELP %s %s\n", m.name, m.help); err != nil {
 				return err
 			}
-			prevName = m.name
 		}
-		var err error
-		switch {
-		case m.c != nil:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.c.Load())
-		case m.g != nil:
-			_, err = fmt.Fprintf(w, "%s%s %d\n", m.name, m.labels, m.g.Load())
-		case m.h != nil:
-			err = writePromHistogram(w, m)
-		case m.b != nil:
-			err = writePromBitHist(w, m)
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return writePromClusterNodes(w)
-}
-
-// writePromBuildInfo emits the szx_build_info series: a constant-1 gauge
-// whose labels carry the binary's identity (module version, Go toolchain,
-// active kernel set), the conventional info-metric shape for joining perf
-// shifts to deploys. Labels are dynamic, so it lives outside the static
-// registry.
-func writePromBuildInfo(w io.Writer) error {
-	bi := GetBuildInfo()
-	if _, err := fmt.Fprint(w,
-		"# HELP szx_build_info Build identity of this binary; the value is always 1.\n"+
-			"# TYPE szx_build_info gauge\n"); err != nil {
+		_, err := fmt.Fprintf(w, "# TYPE %s %s\n", m.name, m.promType())
 		return err
 	}
-	_, err := fmt.Fprintf(w, "szx_build_info{version=%q,revision=%q,goversion=%q,kernels=%q} 1\n",
-		bi.Version, bi.VCSRev, bi.GoVersion, bi.Kernels)
-	return err
+	for i := range registry {
+		m := &registry[i]
+		if !m.sparse {
+			if err := header(m); err != nil {
+				return err
+			}
+		}
+		if m.h != nil {
+			if err := writePromHistogram(w, m); err != nil {
+				return err
+			}
+			continue
+		}
+		for labels, v := range m.samples {
+			if err := header(m); err != nil {
+				return err
+			}
+			if _, err := fmt.Fprintf(w, "%s%s %d\n", m.name, labels, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
-func writePromHistogram(w io.Writer, m metric) error {
+func writePromHistogram(w io.Writer, m *metric) error {
 	cum := int64(0)
 	for i := 0; i < histBuckets; i++ {
 		n := m.h.buckets[i].Load()
@@ -244,19 +267,6 @@ func writePromHistogram(w io.Writer, m metric) error {
 
 func formatLe(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-func writePromBitHist(w io.Writer, m metric) error {
-	for i := range m.b.buckets {
-		n := m.b.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		if _, err := fmt.Fprintf(w, "%s{%s=\"%d\"} %d\n", m.name, m.blabel, i, n); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Handler serves the Prometheus text exposition (a /metrics endpoint).

@@ -92,8 +92,11 @@ func TestSnapDuringReset(t *testing.T) {
 	}()
 	for i := 0; i < 300; i++ {
 		s := Snap()
-		if s.Kernels.Dispatched == "" {
+		if s.Build.Kernels != "generic (test)" {
 			t.Fatalf("snap %d: kernel dispatch detail lost", i)
+		}
+		if r := Report(); !strings.Contains(r, `{impl="generic"} 1, {impl="avx2"} 0`) {
+			t.Fatalf("report %d: torn kernel dispatch line:\n%s", i, r)
 		}
 	}
 	close(stop)

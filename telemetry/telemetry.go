@@ -14,13 +14,19 @@
 // the enabled path stays race-free under the parallel engine without
 // putting atomics in the per-value loops.
 //
-// Export surfaces:
+// Export surfaces: every exported series is declared once, as a row of the
+// registry in prometheus.go, and each surface walks that registry without
+// naming an individual metric:
 //
-//   - [Snap] returns a typed snapshot of everything;
-//   - [Report] renders the snapshot as a human-readable text block;
 //   - [WritePrometheus] emits the Prometheus text exposition format;
-//   - [PublishExpvar] publishes the snapshot under the expvar key "szx";
+//   - [Snap] returns every series keyed as on the Prometheus page
+//     (`name{labels}`), plus every histogram by family name;
+//   - [PublishExpvar] publishes that snapshot under the expvar key "szx";
+//   - [Report] renders one text line per family with a non-zero series;
+//   - [Reset] zeroes every row;
 //   - [DebugHandler] serves /metrics, /debug/vars, and /debug/pprof.
+//
+// Adding a metric is one variable and one registry row.
 //
 // The cmd/szx and cmd/szxbench binaries expose all of this behind opt-in
 // -stats and -stats-http flags.
@@ -28,6 +34,7 @@ package telemetry
 
 import (
 	"math/bits"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -228,6 +235,18 @@ func (h *BitHist) Snapshot() map[int]int64 {
 		}
 	}
 	return m
+}
+
+// series yields the non-zero buckets as `{bits="N"}` series, the registry
+// row form of the distribution.
+func (h *BitHist) series(yield func(labels string, v int64) bool) {
+	for i := range h.buckets {
+		if n := h.buckets[i].Load(); n != 0 {
+			if !yield(`{bits="`+strconv.Itoa(i)+`"}`, n) {
+				return
+			}
+		}
+	}
 }
 
 func (h *BitHist) reset() {

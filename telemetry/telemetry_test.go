@@ -116,11 +116,18 @@ func TestSnapshotRatios(t *testing.T) {
 	RecordCompress(1000, 250, 1e6)
 	RecordDecompress(250, 1000, 5e5)
 	s := Snap()
-	if s.Compress.Ratio != 4 || s.Decompress.Ratio != 4 {
-		t.Fatalf("ratios = %v / %v, want 4 / 4", s.Compress.Ratio, s.Decompress.Ratio)
+	for key, want := range map[string]int64{
+		"szx_compress_input_bytes_total":    1000,
+		"szx_compress_output_bytes_total":   250,
+		"szx_decompress_input_bytes_total":  250,
+		"szx_decompress_output_bytes_total": 1000,
+	} {
+		if got := s.Series[key]; got != want {
+			t.Fatalf("%s = %d, want %d", key, got, want)
+		}
 	}
-	if s.Compress.Durations.Count != 1 || s.Compress.Durations.Mean != 1e6 {
-		t.Fatalf("durations = %+v", s.Compress.Durations)
+	if d := s.Histograms["szx_compress_duration_seconds"]; d.Count != 1 || d.Mean != 1e6 {
+		t.Fatalf("durations = %+v", d)
 	}
 	Reset()
 }
@@ -340,9 +347,10 @@ func TestKernelDispatchAndInvocations(t *testing.T) {
 			t.Fatalf("exposition missing %q", want)
 		}
 	}
-	if snap := Snap(); snap.Kernels.Stats != 10 || snap.Kernels.DecodeScans != 5 ||
-		snap.Kernels.Dispatched != "generic (SZX_KERNELS=generic)" {
-		t.Fatalf("snapshot kernels wrong: %+v", snap.Kernels)
+	if snap := Snap(); snap.Series[`szx_kernel_invocations_total{kernel="stats"}`] != 10 ||
+		snap.Series[`szx_kernel_invocations_total{kernel="decode_scan"}`] != 5 ||
+		snap.Build.Kernels != "generic (SZX_KERNELS=generic)" {
+		t.Fatalf("snapshot kernels wrong: %+v %+v", snap.Series, snap.Build)
 	}
 
 	// Reset clears the invocation counters but re-asserts the dispatch

@@ -61,7 +61,7 @@ func TestFromTraceparentMalformed(t *testing.T) {
 	for _, h := range []string{
 		"",
 		"garbage",
-		valid[:54],      // truncated
+		valid[:54],       // truncated
 		"01" + valid[2:], // wrong version
 		"00-00000000000000000000000000000000-0123456789abcdef-01", // zero trace ID
 		strings.Replace(valid, "-01", "x01", 1),                   // broken delimiter
