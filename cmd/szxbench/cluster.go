@@ -23,28 +23,26 @@ import (
 // and drive them through the ClusterClient under each routing policy,
 // writing a BENCH_CLUSTER.json snapshot. The comparison of interest is a
 // single oversubscribed node (its admission gate shedding 429s) against
-// three nodes behind hash, least-loaded, and hedged routing — fleet-level
-// shedding vs fleet-level spreading on the same total offered load.
+// three nodes behind hash and least-loaded routing — fleet-level shedding
+// vs fleet-level spreading on the same total offered load.
 //
 // With -cluster-nodes the fleet is external (already-running szxd
-// processes, as in the CI cluster-smoke job): one hedged+retried sweep is
-// driven against it and the process exits non-zero if any request fails —
-// the assertion that hedge/retry absorbed whatever happened to the fleet
-// mid-run (the smoke job SIGKILLs a node on purpose).
+// processes, as in the CI cluster-smoke job): one least-loaded, retried
+// sweep is driven against it and the process exits non-zero if any
+// request fails — the assertion that retries absorbed whatever happened
+// to the fleet mid-run (the smoke job SIGKILLs a node on purpose).
 
 type clusterLevel struct {
-	Nodes     int     `json:"nodes"`
-	Policy    string  `json:"policy"`
-	Clients   int     `json:"clients"`
-	Requests  int64   `json:"requests"`
-	Failed    int64   `json:"failed"`
-	Shed      int64   `json:"shed"`    // server-side 429/503 admission denials (in-process fleets only)
-	Retries   int64   `json:"retries"` // cluster-client retries against another node
-	Hedges    int64   `json:"hedges_fired"`
-	HedgeWins int64   `json:"hedges_won"`
-	MBs       float64 `json:"mb_s"`
-	P50Ms     float64 `json:"p50_ms"`
-	P99Ms     float64 `json:"p99_ms"`
+	Nodes    int     `json:"nodes"`
+	Policy   string  `json:"policy"`
+	Clients  int     `json:"clients"`
+	Requests int64   `json:"requests"`
+	Failed   int64   `json:"failed"`
+	Shed     int64   `json:"shed"`    // server-side 429/503 admission denials (in-process fleets only)
+	Retries  int64   `json:"retries"` // cluster-client retries against another node
+	MBs      float64 `json:"mb_s"`
+	P50Ms    float64 `json:"p50_ms"`
+	P99Ms    float64 `json:"p99_ms"`
 }
 
 type clusterReport struct {
@@ -103,22 +101,15 @@ func startClusterNodes(n int) (urls []string, shutdown func(), err error) {
 var clusterPolicies = []struct {
 	name   string
 	policy client.Policy
-	hedged bool
 }{
-	{"hash", client.PolicyHash, false},
-	{"least_loaded", client.PolicyLeastLoaded, false},
-	{"hedged", client.PolicyLeastLoaded, true},
+	{"hash", client.PolicyHash},
+	{"least_loaded", client.PolicyLeastLoaded},
 }
 
-func runClusterLevel(nodes []string, name string, policy client.Policy, hedged bool, clients int, benchtime time.Duration) (clusterLevel, error) {
+func runClusterLevel(nodes []string, name string, policy client.Policy, clients int, benchtime time.Duration) (clusterLevel, error) {
 	cc, err := client.NewCluster(client.ClusterConfig{
-		Nodes:  nodes,
-		Policy: policy,
-		// MaxDelay well under the saturated tail: the adaptive trigger
-		// stays exercised but a stalled request hedges within 100ms, so
-		// the artifact records fired/won counts instead of a trigger that
-		// never beats the retry path.
-		Hedge:        client.HedgePolicy{Disabled: !hedged, MaxDelay: 100 * time.Millisecond, Budget: 0.5},
+		Nodes:        nodes,
+		Policy:       policy,
 		Retry:        client.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
 		RetryBudget:  0.5,
 		PollInterval: 100 * time.Millisecond,
@@ -148,8 +139,6 @@ func runClusterLevel(nodes []string, name string, policy client.Policy, hedged b
 
 	shed0 := shedCount()
 	retries0 := telemetry.ClusterRetries.Load()
-	hedges0 := telemetry.ClusterHedgesFired.Load()
-	wins0 := telemetry.ClusterHedgesWon.Load()
 
 	var (
 		mu        sync.Mutex
@@ -205,18 +194,16 @@ func runClusterLevel(nodes []string, name string, policy client.Policy, hedged b
 		return float64(lats[int(p*float64(len(lats)-1))].Microseconds()) / 1e3
 	}
 	return clusterLevel{
-		Nodes:     len(nodes),
-		Policy:    name,
-		Clients:   clients,
-		Requests:  requests,
-		Failed:    failed,
-		Shed:      shedCount() - shed0,
-		Retries:   telemetry.ClusterRetries.Load() - retries0,
-		Hedges:    telemetry.ClusterHedgesFired.Load() - hedges0,
-		HedgeWins: telemetry.ClusterHedgesWon.Load() - wins0,
-		MBs:       math.Round(float64(requests)*float64(rawBytes)/elapsed.Seconds()/1e6*100) / 100,
-		P50Ms:     math.Round(pct(0.50)*100) / 100,
-		P99Ms:     math.Round(pct(0.99)*100) / 100,
+		Nodes:    len(nodes),
+		Policy:   name,
+		Clients:  clients,
+		Requests: requests,
+		Failed:   failed,
+		Shed:     shedCount() - shed0,
+		Retries:  telemetry.ClusterRetries.Load() - retries0,
+		MBs:      math.Round(float64(requests)*float64(rawBytes)/elapsed.Seconds()/1e6*100) / 100,
+		P50Ms:    math.Round(pct(0.50)*100) / 100,
+		P99Ms:    math.Round(pct(0.99)*100) / 100,
 	}, nil
 }
 
@@ -235,14 +222,14 @@ func runCluster(outPath, external string, benchtime time.Duration) error {
 	}
 
 	if external != "" {
-		// External fleet: one hedged sweep; failures fail the process — this
-		// is the CI smoke job's zero-client-visible-errors assertion.
+		// External fleet: one least-loaded sweep; failures fail the process
+		// — this is the CI smoke job's zero-client-visible-errors assertion.
 		nodes := strings.Split(external, ",")
 		rep.Note = fmt.Sprintf("external szxd fleet at %s driven by the ClusterClient (least-loaded + "+
-			"hedging + retries, %d clients). failed>0 fails the run: with the smoke job killing a node "+
-			"mid-load, a clean exit means hedge/retry absorbed it. Shed counts are unavailable for "+
+			"retries, %d clients). failed>0 fails the run: with the smoke job killing a node "+
+			"mid-load, a clean exit means retries absorbed it. Shed counts are unavailable for "+
 			"external fleets (they live in the servers' own /metrics).", external, clients)
-		lvl, err := runClusterLevel(nodes, "hedged", client.PolicyLeastLoaded, true, clients, benchtime)
+		lvl, err := runClusterLevel(nodes, "least_loaded", client.PolicyLeastLoaded, clients, benchtime)
 		if err != nil {
 			return err
 		}
@@ -259,9 +246,9 @@ func runCluster(outPath, external string, benchtime time.Duration) error {
 	rep.Note = fmt.Sprintf("in-process szxd fleets (1 vs 3 nodes, MaxInFlight=%d, no queue (MaxQueue=%d) "+
 		"per node) under %d concurrent clients sending 8 MiB float32 compress requests (bound 1e-3) "+
 		"through the ClusterClient. The 1-node level oversubscribes one admission gate (shed counts are "+
-		"its 429s, absorbed by client retries); the 3-node levels compare rendezvous-hash, "+
-		"least-loaded (power-of-two-choices), and least-loaded+hedged routing on the same offered load. "+
-		"retries/hedges_fired/hedges_won are ClusterClient telemetry deltas per level.",
+		"its 429s, absorbed by client retries); the 3-node levels compare rendezvous-hash and "+
+		"least-loaded (power-of-two-choices) routing on the same offered load. "+
+		"retries is the ClusterClient telemetry delta per level.",
 		1, -1, clients)
 
 	for _, n := range []int{1, 3} {
@@ -276,7 +263,7 @@ func runCluster(outPath, external string, benchtime time.Duration) error {
 				continue
 			}
 			fmt.Fprintf(os.Stderr, "cluster: %d node(s), %s...\n", n, pc.name)
-			lvl, err := runClusterLevel(urls, pc.name, pc.policy, pc.hedged, clients, benchtime)
+			lvl, err := runClusterLevel(urls, pc.name, pc.policy, clients, benchtime)
 			if err != nil {
 				shutdown()
 				return fmt.Errorf("%d nodes / %s: %w", n, pc.name, err)

@@ -51,7 +51,7 @@ func main() {
 		stream       = flag.String("stream", "", "run streaming dump/load A/B (serial vs pipelined) and write JSON snapshot to this file ('-' = stdout)")
 		ratioOut     = flag.String("ratio", "", "run the fixed-ratio bound-search sweep and write JSON snapshot to this file ('-' = stdout)")
 		serve        = flag.String("serve", "", "run the szxd service load generator (1/8/64 clients) and write JSON snapshot to this file ('-' = stdout)")
-		clusterOut   = flag.String("cluster", "", "run the cluster routing sweep (1 vs 3 nodes, hash/least-loaded/hedged) and write JSON snapshot to this file ('-' = stdout)")
+		clusterOut   = flag.String("cluster", "", "run the cluster routing sweep (1 vs 3 nodes, hash/least-loaded) and write JSON snapshot to this file ('-' = stdout)")
 		clusterNodes = flag.String("cluster-nodes", "", "with -cluster: drive this external comma-separated szxd fleet instead of in-process nodes; any failed request fails the run")
 		stats        = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
 		statsHTTP    = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")

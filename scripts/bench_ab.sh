@@ -160,9 +160,9 @@ PY
 fi
 
 # Cluster routing sweep for the working tree: 1- vs 3-node in-process
-# fleets under hash / least-loaded / hedged routing (the BENCH_CLUSTER.json
-# workload) — failed/shed/retry/hedge counts and p50/p99 per level. Skip
-# with BENCH_CLUSTER=0.
+# fleets under hash / least-loaded routing (the BENCH_CLUSTER.json
+# workload) — failed/shed/retry counts and p50/p99 per level. Skip with
+# BENCH_CLUSTER=0.
 if [[ "${BENCH_CLUSTER:-1}" != 0 ]]; then
     echo "bench_ab: cluster routing sweep (working tree)" >&2
     go run ./cmd/szxbench -cluster BENCH_CLUSTER.json -benchtime "$BENCHTIME"
@@ -172,7 +172,6 @@ r = json.load(open("BENCH_CLUSTER.json"))
 for l in r["levels"]:
     print(f"cluster {l['nodes']} node(s) {l['policy']:>12}: {l['requests']:4d} ok "
           f"{l['failed']:2d} failed  shed {l['shed']:3d}  retries {l['retries']:3d}  "
-          f"hedges {l['hedges_fired']}/{l['hedges_won']}  "
           f"p50 {l['p50_ms']:.1f}ms p99 {l['p99_ms']:.1f}ms  {l['mb_s']:.1f} MB/s")
 PY
 fi

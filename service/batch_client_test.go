@@ -3,12 +3,8 @@ package service_test
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/http/httptest"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	szx "repro"
 	"repro/service"
@@ -62,88 +58,6 @@ func TestClientBatch(t *testing.T) {
 		if len(r.Values) != len(arrays[i]) {
 			t.Fatalf("array %d: %d values back, want %d", i, len(r.Values), len(arrays[i]))
 		}
-	}
-}
-
-// TestClientCoalescing: with coalescing on, concurrent small Compress calls
-// share batch requests — the one-shot endpoint sees no traffic — and every
-// caller still gets a stream identical to its own one-shot result.
-func TestClientCoalescing(t *testing.T) {
-	srv := service.New(service.Config{})
-	var oneShot, batches atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch r.URL.Path {
-		case "/v1/compress":
-			oneShot.Add(1)
-		case "/v1/batch/compress":
-			batches.Add(1)
-		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-
-	const callers = 8
-	c := client.New(ts.URL, client.WithCoalescing(20*time.Millisecond, callers, 64<<10))
-	plain := client.New(ts.URL)
-	p := client.Params{ErrorBound: 1e-3}
-
-	arrays := make([][]float32, callers)
-	for i := range arrays {
-		arrays[i] = testField(1024, int64(i))
-	}
-	got := make([][]byte, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			got[i], errs[i] = c.Compress(context.Background(), arrays[i], p)
-		}(i)
-	}
-	wg.Wait()
-	// Snapshot before the verification loop below drives its own one-shot
-	// traffic through the same counting handler.
-	leaked, coalesced := oneShot.Load(), batches.Load()
-
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatalf("caller %d: %v", i, errs[i])
-		}
-		want, err := plain.Compress(context.Background(), arrays[i], p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(got[i]) != string(want) {
-			t.Fatalf("caller %d: coalesced stream differs from one-shot", i)
-		}
-	}
-	if leaked != 0 {
-		t.Fatalf("%d calls leaked to the one-shot endpoint", leaked)
-	}
-	if coalesced < 1 || coalesced >= callers {
-		t.Fatalf("%d batch requests for %d callers; want coalescing (1..%d)", coalesced, callers, callers-1)
-	}
-}
-
-// TestClientCoalescingLargeBypass: payloads over maxArrayBytes skip the
-// coalescer and go one-shot.
-func TestClientCoalescingLargeBypass(t *testing.T) {
-	srv := service.New(service.Config{})
-	var oneShot atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path == "/v1/compress" {
-			oneShot.Add(1)
-		}
-		srv.Handler().ServeHTTP(w, r)
-	}))
-	t.Cleanup(ts.Close)
-	c := client.New(ts.URL, client.WithCoalescing(time.Millisecond, 4, 1<<10))
-	if _, err := c.Compress(context.Background(), testField(4096, 1), client.Params{ErrorBound: 1e-3}); err != nil {
-		t.Fatal(err)
-	}
-	if oneShot.Load() != 1 {
-		t.Fatalf("large payload did not bypass the coalescer (%d one-shot calls)", oneShot.Load())
 	}
 }
 

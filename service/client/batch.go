@@ -6,17 +6,13 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"sync"
-	"time"
 
 	"repro/internal/wireconv"
-	"repro/telemetry"
 )
 
 // Batch support: CompressBatch/DecompressBatch pack many arrays into one
 // /v1/batch request (SZXB framing, mirrored from the service — the client
-// deliberately does not import the server package), and WithCoalescing
-// turns individual small Compress calls into shared batches transparently.
+// deliberately does not import the server package).
 
 const (
 	batchMagic     = "SZXB"
@@ -198,114 +194,4 @@ func (c *Client) DecompressBatch(ctx context.Context, comps [][]byte, p Params) 
 		return nil, err
 	}
 	return results, nil
-}
-
-// WithCoalescing makes Compress transparently merge concurrent small calls
-// into shared CompressBatch requests: a call whose payload is at most
-// maxArrayBytes joins the pending batch for its Params, and the batch
-// flushes when it reaches maxArrays or when window elapses since its first
-// array. Each caller still gets its own result (and its own per-array
-// error); the trade is up to one window of added latency per call in
-// exchange for one round trip and one admission slot per batch. The flush
-// itself runs on a background context, so one caller cancelling cannot
-// abort a batch carrying other callers' work — a cancelled caller just
-// stops waiting. While coalescing is in effect, the value slice passed to
-// Compress must stay unmodified until the call returns.
-func WithCoalescing(window time.Duration, maxArrays, maxArrayBytes int) Option {
-	return func(c *Client) {
-		if window <= 0 {
-			window = 2 * time.Millisecond
-		}
-		if maxArrays <= 0 {
-			maxArrays = 64
-		}
-		if maxArrayBytes <= 0 {
-			maxArrayBytes = 256 << 10
-		}
-		c.co = &coalescer{
-			c:             c,
-			window:        window,
-			maxArrays:     maxArrays,
-			maxArrayBytes: maxArrayBytes,
-			pending:       make(map[Params]*pendingBatch),
-		}
-	}
-}
-
-// coalescer accumulates small Compress calls into per-Params batches.
-type coalescer struct {
-	c             *Client
-	window        time.Duration
-	maxArrays     int
-	maxArrayBytes int
-
-	mu      sync.Mutex
-	pending map[Params]*pendingBatch
-}
-
-// pendingBatch is one open batch: the arrays queued so far and the flush
-// rendezvous. done closes once results/err are set.
-type pendingBatch struct {
-	arrays  [][]float32
-	timer   *time.Timer
-	done    chan struct{}
-	results []BatchResult
-	err     error
-}
-
-func (co *coalescer) compress(ctx context.Context, vals []float32, p Params) ([]byte, error) {
-	enq := time.Now()
-	co.mu.Lock()
-	pb := co.pending[p]
-	if pb == nil {
-		pb = &pendingBatch{done: make(chan struct{})}
-		co.pending[p] = pb
-		pb.timer = time.AfterFunc(co.window, func() { co.flush(p, pb) })
-	}
-	idx := len(pb.arrays)
-	pb.arrays = append(pb.arrays, vals)
-	full := len(pb.arrays) >= co.maxArrays
-	if full {
-		pb.timer.Stop()
-		delete(co.pending, p)
-	}
-	co.mu.Unlock()
-	if full {
-		co.run(pb, p)
-	}
-
-	select {
-	case <-pb.done:
-		telemetry.BatchCoalesceWaits.Observe(time.Since(enq).Nanoseconds())
-		if pb.err != nil {
-			return nil, pb.err
-		}
-		r := pb.results[idx]
-		return r.Comp, r.Err
-	case <-ctx.Done():
-		// The batch still flushes (it may carry other callers); this
-		// caller's slot is simply abandoned.
-		return nil, ctx.Err()
-	}
-}
-
-// flush is the window-timer path: detach the batch if it is still pending
-// (the size trigger may have raced ahead) and run it.
-func (co *coalescer) flush(p Params, pb *pendingBatch) {
-	co.mu.Lock()
-	if co.pending[p] != pb {
-		co.mu.Unlock()
-		return
-	}
-	delete(co.pending, p)
-	co.mu.Unlock()
-	co.run(pb, p)
-}
-
-func (co *coalescer) run(pb *pendingBatch, p Params) {
-	telemetry.BatchCoalescedCalls.Add(int64(len(pb.arrays)))
-	// Background context: the batch belongs to every queued caller, so no
-	// single caller's cancellation may abort it.
-	pb.results, pb.err = co.c.CompressBatch(context.Background(), pb.arrays, p)
-	close(pb.done)
 }

@@ -88,7 +88,6 @@ var queryCache sync.Map // queryKey -> string
 type Client struct {
 	base  string
 	hc    *http.Client
-	co    *coalescer   // nil unless WithCoalescing
 	retry *RetryPolicy // nil unless WithRetry
 }
 
@@ -221,6 +220,12 @@ func stageF64(vals []float64) *bytes.Buffer {
 	return b
 }
 
+// maxPresize caps how much of a response's Content-Length readBody
+// allocates before any bytes arrive. An 8 MiB payload still lands in one
+// allocation; a larger or forged length grows the buffer only as the body
+// actually delivers bytes.
+const maxPresize = 64 << 20
+
 // readBody slurps a response body into a buffer pre-sized from
 // Content-Length (szxd always sets it), so large responses skip
 // io.ReadAll's doubling growth.
@@ -229,7 +234,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 	if n < 0 {
 		return io.ReadAll(resp.Body)
 	}
-	buf := bytes.NewBuffer(make([]byte, 0, n+1))
+	buf := bytes.NewBuffer(make([]byte, 0, min(n, maxPresize)+1))
 	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return nil, err
 	}
@@ -296,13 +301,8 @@ func (c *Client) postOnce(ctx context.Context, path, rawQuery string, body io.Re
 	return resp, nil
 }
 
-// Compress sends vals to the service and returns the SZx stream. With
-// coalescing enabled (WithCoalescing), small payloads may ride a shared
-// batch request; vals must then stay unmodified until Compress returns.
+// Compress sends vals to the service and returns the SZx stream.
 func (c *Client) Compress(ctx context.Context, vals []float32, p Params) ([]byte, error) {
-	if c.co != nil && 4*len(vals) <= c.co.maxArrayBytes {
-		return c.co.compress(ctx, vals, p)
-	}
 	body := stageF32(vals)
 	defer putBody(body)
 	resp, err := c.post(ctx, "/v1/compress", p.queryString("f32"), bytes.NewReader(body.Bytes()))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"hash/fnv"
-	"math/bits"
 	"math/rand/v2"
 	"net/http"
 	"sort"
@@ -28,7 +27,7 @@ const (
 	// PolicyHash routes by rendezvous (highest-random-weight) hashing on
 	// the caller's affinity key (WithAffinityKey). Requests sharing a key
 	// land on the same node while it stays routable, so a node's warm
-	// buffers and coalescing batches see related traffic.
+	// buffers see related traffic.
 	PolicyHash
 	// PolicyOrdered routes in configured node order: first routable node
 	// wins. Gives operators an explicit primary/backup topology.
@@ -38,68 +37,21 @@ const (
 // ErrNoNodes is returned when a ClusterClient has an empty node list.
 var ErrNoNodes = errors.New("szxd cluster: no nodes configured")
 
-// HedgePolicy tunes request hedging: after a latency trigger, an admitted
-// request is raced against a second replica and the first response wins
-// (the loser is context-cancelled). Hedges are budgeted so a slow fleet
-// sees bounded extra load, never a multiplied one.
-type HedgePolicy struct {
-	// Disabled turns hedging off (the zero policy hedges).
-	Disabled bool
-	// Delay, when positive, is a fixed hedge trigger — fire the second
-	// request this long after the first. Overrides the percentile trigger;
-	// mostly for tests and fixed-SLO callers.
-	Delay time.Duration
-	// Percentile sets the adaptive trigger: hedge when the first request
-	// has outlived this fraction of recent successful calls (0 = 0.95).
-	// Only latencies of successful calls feed the estimate, so a burst of
-	// fast failures cannot drag the trigger toward zero.
-	Percentile float64
-	// MinDelay and MaxDelay clamp the adaptive trigger (0 = 1ms / 500ms).
-	// Until enough samples accumulate the trigger sits at MaxDelay.
-	MinDelay time.Duration
-	MaxDelay time.Duration
-	// Budget is the hedge earn rate: each successful call banks this many
-	// hedge credits (0 = 0.1 — at most one hedge per ten successes, plus a
-	// small starting bank). A hedge spends one credit; with the bank empty
-	// the trigger lapses and the primary runs alone.
-	Budget float64
-}
-
-func (h HedgePolicy) withDefaults() HedgePolicy {
-	if h.Percentile <= 0 || h.Percentile >= 1 {
-		h.Percentile = 0.95
-	}
-	if h.MinDelay <= 0 {
-		h.MinDelay = time.Millisecond
-	}
-	if h.MaxDelay <= 0 {
-		h.MaxDelay = 500 * time.Millisecond
-	}
-	if h.MaxDelay < h.MinDelay {
-		h.MaxDelay = h.MinDelay
-	}
-	if h.Budget <= 0 {
-		h.Budget = 0.1
-	}
-	return h
-}
-
 // ClusterConfig configures a ClusterClient. Only Nodes is required.
 type ClusterConfig struct {
 	// Nodes is the static list of szxd base URLs (or host:port strings).
 	Nodes []string
 	// Policy orders candidates per request (default PolicyLeastLoaded).
 	Policy Policy
-	// Hedge tunes second-replica racing; the zero value hedges with
-	// defaults, set Hedge.Disabled to turn it off.
-	Hedge HedgePolicy
 	// Retry caps cross-node retries of shed/failed requests; zero-value
 	// fields take RetryPolicy defaults (3 attempts, jittered backoff).
 	Retry RetryPolicy
-	// RetryBudget is the retry earn rate, like HedgePolicy.Budget but for
-	// the retry bank (0 = 0.2). The budget is global across the client: an
-	// overloaded fleet shedding every request exhausts it and subsequent
-	// failures surface immediately instead of amplifying the overload.
+	// RetryBudget is the retry earn rate: each successful call banks this
+	// many retry credits and each retry spends one (0 = 0.2, at most one
+	// retry per five successes plus a starting bank of ten). The budget is
+	// global across the client: an overloaded fleet shedding every request
+	// exhausts it and subsequent failures surface immediately instead of
+	// amplifying the overload.
 	RetryBudget float64
 	// PollInterval is the membership probe cadence (0 = 1s; negative
 	// disables background polling — callers then drive
@@ -119,19 +71,15 @@ type clusterNode struct {
 
 // ClusterClient fans a Client's API out over a fleet of szxd nodes: it
 // embeds a cluster.Membership over the node list, routes each request by
-// the configured policy around draining/suspect/dead nodes, hedges slow
-// requests against a second replica, and retries shed ones elsewhere —
-// all under budgets that cap the extra load at a fraction of the
-// successful traffic.
+// the configured policy around draining/suspect/dead nodes, and retries
+// shed or failed ones on the next node — under a budget that caps the
+// extra load at a fraction of the successful traffic.
 type ClusterClient struct {
 	policy Policy
-	hedge  HedgePolicy
 	retry  RetryPolicy
 
 	nodes []*clusterNode
 	mem   *cluster.Membership
-	lat   latTracker
-	hb    creditBank // hedge credits
 	rb    creditBank // retry credits
 }
 
@@ -153,7 +101,6 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	}
 	cc := &ClusterClient{
 		policy: cfg.Policy,
-		hedge:  cfg.Hedge.withDefaults(),
 		retry:  cfg.Retry.withDefaults(),
 	}
 	seen := make(map[string]bool)
@@ -174,11 +121,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	if len(cc.nodes) == 0 {
 		return nil, ErrNoNodes
 	}
-	// Budgets start with a small bank (ten credits) so short runs and cold
-	// clients can hedge/retry at all; steady state is governed by the earn
-	// rates.
-	cc.hb.init(cc.hedge.Budget, 10)
-	cc.rb.init(cfg.RetryBudget, 10)
+	cc.rb.init(cfg.RetryBudget)
 	poll := cfg.PollInterval
 	cc.mem = cluster.New(cluster.Config{
 		Peers:        cfg.Nodes,
@@ -286,7 +229,7 @@ func (cc *ClusterClient) candidates(key string) []*clusterNode {
 		if len(routable) > 1 {
 			// Power of two choices: sample two distinct candidates, put
 			// the less loaded one first. The rest keep their order as the
-			// retry/hedge tail.
+			// retry tail.
 			i := rand.IntN(len(routable))
 			j := rand.IntN(len(routable) - 1)
 			if j >= i {
@@ -306,119 +249,29 @@ func (cc *ClusterClient) candidates(key string) []*clusterNode {
 	return append(append(routable, suspects...), rest...)
 }
 
-// hedgeDelay is the current trigger: the fixed override when set, else
-// the clamped latency percentile of recent successful calls.
-func (cc *ClusterClient) hedgeDelay() time.Duration {
-	if cc.hedge.Delay > 0 {
-		return cc.hedge.Delay
-	}
-	d := cc.lat.quantile(cc.hedge.Percentile)
-	if d <= 0 {
-		return cc.hedge.MaxDelay
-	}
-	return min(max(d, cc.hedge.MinDelay), cc.hedge.MaxDelay)
-}
-
 // clusterRun executes op against one node, maintaining the local
 // outstanding gauge, the per-node request tally, and (on success) the
-// latency estimate and earn-side of both budgets.
+// earn side of the retry budget.
 func clusterRun[T any](cc *ClusterClient, ctx context.Context, n *clusterNode, op func(context.Context, *Client) (T, error)) (T, error) {
 	n.outstanding.Add(1)
 	defer n.outstanding.Add(-1)
 	telemetry.ClusterNodeRequests(n.addr).Inc()
-	start := time.Now()
 	v, err := op(ctx, n.c)
 	if err == nil {
-		cc.lat.observe(time.Since(start))
-		cc.hb.earn()
 		cc.rb.earn()
 	}
 	return v, err
 }
 
-// callResult is one node's answer in a hedged race.
-type callResult[T any] struct {
-	v      T
-	err    error
-	hedged bool
-}
-
-// hedgedCall runs op on primary and, if it outlives the hedge trigger and
-// the budget allows, races a second copy on backup. First success wins;
-// the loser's context is cancelled immediately so its admission slot and
-// socket come back. Both goroutines report into a buffered channel sized
-// for both, so an abandoned loser can never leak.
-func hedgedCall[T any](cc *ClusterClient, ctx context.Context, primary, backup *clusterNode, op func(context.Context, *Client) (T, error)) (T, error) {
-	var zero T
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	ch := make(chan callResult[T], 2)
-	go func() {
-		v, err := clusterRun(cc, pctx, primary, op)
-		ch <- callResult[T]{v: v, err: err}
-	}()
-
-	var hedgeC <-chan time.Time
-	hctx, hcancel := ctx, context.CancelFunc(func() {})
-	if backup != nil && !cc.hedge.Disabled {
-		t := time.NewTimer(cc.hedgeDelay())
-		defer t.Stop()
-		hedgeC = t.C
-		hctx, hcancel = context.WithCancel(ctx)
-	}
-	defer hcancel()
-
-	outstanding := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			outstanding--
-			if r.err == nil {
-				if r.hedged {
-					telemetry.ClusterHedgesWon.Inc()
-				}
-				// The deferred cancels chase the loser off its node.
-				return r.v, nil
-			}
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if outstanding == 0 {
-				return zero, firstErr
-			}
-		case <-hedgeC:
-			hedgeC = nil
-			if !cc.hb.take() {
-				telemetry.ClusterHedgeBudgetDenied.Inc()
-				continue
-			}
-			telemetry.ClusterHedgesFired.Inc()
-			outstanding++
-			go func() {
-				v, err := clusterRun(cc, hctx, backup, op)
-				ch <- callResult[T]{v: v, err: err, hedged: true}
-			}()
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
-}
-
 // clusterDo is the dispatch spine under every ClusterClient method: order
-// the candidates once, then walk them with hedged calls and budgeted
+// the candidates once, then call them one at a time with budgeted
 // jittered-backoff retries until success, a non-retryable error, the
 // attempt cap, or an exhausted retry budget.
 func clusterDo[T any](cc *ClusterClient, ctx context.Context, op func(context.Context, *Client) (T, error)) (T, error) {
 	var zero T
 	cands := cc.candidates(AffinityKey(ctx))
 	for attempt := 1; ; attempt++ {
-		primary := cands[(attempt-1)%len(cands)]
-		var backup *clusterNode
-		if len(cands) > 1 {
-			backup = cands[attempt%len(cands)]
-		}
-		v, err := hedgedCall(cc, ctx, primary, backup, op)
+		v, err := clusterRun(cc, ctx, cands[(attempt-1)%len(cands)], op)
 		if err == nil {
 			return v, nil
 		}
@@ -493,66 +346,31 @@ func (cc *ClusterClient) Ready(ctx context.Context) error {
 	return err
 }
 
-// latTracker is a lock-free latency sketch: power-of-two buckets of
-// successful call durations. Quantiles land on a bucket's upper bound —
-// coarse (within 2×), which is exactly the precision a hedge trigger
-// needs and costs two atomic adds per observation.
-type latTracker struct {
-	buckets [64]atomic.Int64
-	count   atomic.Int64
-}
+// defaultRetryBudget is ClusterConfig.RetryBudget's zero-value earn rate.
+const defaultRetryBudget = 0.2
 
-func (t *latTracker) observe(d time.Duration) {
-	if d < 0 {
-		return
-	}
-	t.buckets[bits.Len64(uint64(d))].Add(1)
-	t.count.Add(1)
-}
-
-// quantile returns the q-th latency quantile, or 0 while fewer than 16
-// samples exist (callers fall back to the configured max delay).
-func (t *latTracker) quantile(q float64) time.Duration {
-	total := t.count.Load()
-	if total < 16 {
-		return 0
-	}
-	target := int64(q * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range t.buckets {
-		cum += t.buckets[i].Load()
-		if cum >= target {
-			return time.Duration(uint64(1) << uint(i))
-		}
-	}
-	return 0
-}
-
-// creditBank is a token bucket in milli-credits: spending (a hedge or a
-// retry) costs 1000, each successful call earns rate·1000, the bank is
-// capped, and it starts with a small grant. The effect is a hard ratio
-// bound — extra cluster load ≤ rate × successful traffic + the initial
-// bank — which is what keeps hedging and retrying from amplifying an
-// overload they cannot fix.
+// creditBank is the retry token bucket, in milli-credits: a retry costs
+// 1000, each successful call earns rate·1000, the bank is capped, and it
+// starts with ten credits so short runs and cold clients can retry at all.
+// The effect is a hard ratio bound — retried load ≤ rate × successful
+// traffic + the initial bank — which is what keeps retrying from
+// amplifying an overload it cannot fix.
 type creditBank struct {
 	milli atomic.Int64
 	earnM int64 // milli-credits granted per successful call
 	capM  int64 // bank ceiling
 }
 
-func (b *creditBank) init(rate float64, initial int64) {
+func (b *creditBank) init(rate float64) {
 	if rate <= 0 {
-		rate = 0.1
+		rate = defaultRetryBudget
 	}
 	b.earnM = int64(rate * 1000)
 	if b.earnM < 1 {
 		b.earnM = 1
 	}
 	b.capM = 100 * 1000
-	b.milli.Store(initial * 1000)
+	b.milli.Store(10 * 1000)
 }
 
 func (b *creditBank) take() bool {

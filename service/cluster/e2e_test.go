@@ -1,7 +1,7 @@
 // End-to-end cluster tests: real service.Servers on real listeners, a
 // ClusterClient routing across them, and the failure modes the subsystem
-// exists for — a node dying abruptly under load, and hedged/routed
-// responses that must stay byte-identical to single-node ones.
+// exists for — a node dying abruptly under load, and routed responses
+// that must stay byte-identical to single-node ones.
 //
 // This is an external test package (cluster_test) so it can import the
 // service and client packages without a cycle.
@@ -13,6 +13,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -81,8 +82,8 @@ func urls(nodes []*node) []string {
 }
 
 // TestClusterByteIdentity pins the routing layer's transparency: whatever
-// policy routes a request, and even when a hedge races two replicas, the
-// response bytes must equal what a single-node Client gets from one szxd.
+// policy routes a request, one-shot or batched, the response bytes must
+// equal what a single-node Client gets from one szxd.
 func TestClusterByteIdentity(t *testing.T) {
 	nodes := startCluster(t, 3)
 	ctx := context.Background()
@@ -98,17 +99,30 @@ func TestClusterByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("single-node decompress: %v", err)
 	}
+	arrays := [][]float32{vals, testField(1000, -2)}
+	wantBatch, err := single.CompressBatch(ctx, arrays, p)
+	if err != nil {
+		t.Fatalf("single-node batch compress: %v", err)
+	}
+	wantComps := make([][]byte, len(wantBatch))
+	for i, r := range wantBatch {
+		if r.Err != nil {
+			t.Fatalf("single-node batch compress: array %d: %v", i, r.Err)
+		}
+		wantComps[i] = r.Comp
+	}
+	wantBatchVals, err := single.DecompressBatch(ctx, wantComps, client.Params{})
+	if err != nil {
+		t.Fatalf("single-node batch decompress: %v", err)
+	}
 
 	cases := []struct {
 		name string
 		cfg  client.ClusterConfig
 	}{
-		{"hash", client.ClusterConfig{Policy: client.PolicyHash, Hedge: client.HedgePolicy{Disabled: true}}},
-		{"least_loaded", client.ClusterConfig{Policy: client.PolicyLeastLoaded, Hedge: client.HedgePolicy{Disabled: true}}},
-		{"ordered", client.ClusterConfig{Policy: client.PolicyOrdered, Hedge: client.HedgePolicy{Disabled: true}}},
-		// A 1ns trigger forces a hedge on effectively every call: the race
-		// between two replicas must still produce identical bytes.
-		{"hedged", client.ClusterConfig{Policy: client.PolicyOrdered, Hedge: client.HedgePolicy{Delay: time.Nanosecond, Budget: 1}}},
+		{"hash", client.ClusterConfig{Policy: client.PolicyHash}},
+		{"least_loaded", client.ClusterConfig{Policy: client.PolicyLeastLoaded}},
+		{"ordered", client.ClusterConfig{Policy: client.PolicyOrdered}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -144,6 +158,27 @@ func TestClusterByteIdentity(t *testing.T) {
 					}
 				}
 			}
+
+			results, err := cc.CompressBatch(ctx, arrays, p)
+			if err != nil {
+				t.Fatalf("cluster batch compress: %v", err)
+			}
+			comps := make([][]byte, len(results))
+			for i, r := range results {
+				if r.Err != nil || !bytes.Equal(r.Comp, wantComps[i]) {
+					t.Fatalf("cluster batch compress: array %d differs from single-node (err %v)", i, r.Err)
+				}
+				comps[i] = r.Comp
+			}
+			batchVals, err := cc.DecompressBatch(ctx, comps, client.Params{})
+			if err != nil {
+				t.Fatalf("cluster batch decompress: %v", err)
+			}
+			for i, r := range batchVals {
+				if r.Err != nil || !slices.Equal(r.Values, wantBatchVals[i].Values) {
+					t.Fatalf("cluster batch decompress: array %d differs from single-node (err %v)", i, r.Err)
+				}
+			}
 		})
 	}
 }
@@ -151,14 +186,13 @@ func TestClusterByteIdentity(t *testing.T) {
 // TestClusterSurvivesNodeKill is the acceptance-criterion e2e: a 3-node
 // cluster under concurrent load loses one node abruptly (connection
 // resets, then refusals — the client-visible shape of SIGKILL) and every
-// request still succeeds, absorbed by retry and hedging; afterwards the
+// request still succeeds, absorbed by retries; afterwards the
 // membership layer has marked the node suspect/dead.
 func TestClusterSurvivesNodeKill(t *testing.T) {
 	nodes := startCluster(t, 3)
 	cc, err := client.NewCluster(client.ClusterConfig{
 		Nodes:        urls(nodes),
 		Policy:       client.PolicyLeastLoaded,
-		Hedge:        client.HedgePolicy{Delay: 50 * time.Millisecond, Budget: 1},
 		Retry:        client.RetryPolicy{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 		RetryBudget:  1,
 		PollInterval: 20 * time.Millisecond,
@@ -217,7 +251,7 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	}
 	wg.Wait()
 	if len(errs) != 0 {
-		t.Fatalf("%d of %d requests failed despite retry+hedge; first: %v",
+		t.Fatalf("%d of %d requests failed despite retries; first: %v",
 			len(errs), workers*perWorker, errs[0])
 	}
 

@@ -8,7 +8,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -385,56 +384,6 @@ func TestAdmissionGaugeSymmetry(t *testing.T) {
 				pw.Write(make([]byte, 8)) // partial payload: handler is mid-read
 				pw.CloseWithError(errors.New("client bailed mid-upload"))
 				<-errCh // outcome (499 or transport error) doesn't matter, only the server-side accounting
-			},
-		},
-		{
-			// The hedge-loser path: a ClusterClient races a slow node against
-			// a fast one; the fast replica wins and the loser's request is
-			// context-cancelled. The slow node stalls BEFORE its service
-			// handler runs and the payload is too large for kernel socket
-			// buffers, so when the stall ends the loser's admission slot is
-			// taken and then unwound through the 499 body-read path — the
-			// same accounting as any mid-upload disconnect, triggered here by
-			// hedging instead of a flaky client.
-			name:    "hedge_loser_cancelled_499",
-			cfg:     service.Config{},
-			rejects: &telemetry.ServiceCancelledRequests,
-			run: func(t *testing.T, _ *service.Server, _ *client.Client, baseURL string) {
-				slowSrv := service.New(service.Config{DisableTracing: true})
-				gate := make(chan struct{})
-				slow := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-					<-gate // hold the loser pre-admission until the winner has won
-					slowSrv.Handler().ServeHTTP(w, r)
-				}))
-				defer slow.Close()
-
-				cc, err := client.NewCluster(client.ClusterConfig{
-					Nodes:        []string{slow.URL, baseURL}, // ordered: slow primary, fast hedge target
-					Policy:       client.PolicyOrdered,
-					Hedge:        client.HedgePolicy{Delay: 5 * time.Millisecond, Budget: 1},
-					Retry:        client.RetryPolicy{MaxAttempts: 1},
-					PollInterval: -1, // no background polling; peers default to routable
-				})
-				if err != nil {
-					t.Fatalf("NewCluster: %v", err)
-				}
-				defer cc.Close()
-
-				fired := telemetry.ClusterHedgesFired.Load()
-				won := telemetry.ClusterHedgesWon.Load()
-				// 8 MiB of floats: far beyond loopback socket buffering, so
-				// the loser's upload cannot complete before its cancellation
-				// and the slow node must observe the broken body.
-				if _, err := cc.Compress(context.Background(), testField(2<<20, 24), client.Params{}); err != nil {
-					t.Fatalf("hedged compress: %v", err)
-				}
-				close(gate)
-				if got := telemetry.ClusterHedgesFired.Load(); got != fired+1 {
-					t.Errorf("hedges fired = %d, want %d", got, fired+1)
-				}
-				if got := telemetry.ClusterHedgesWon.Load(); got != won+1 {
-					t.Errorf("hedges won = %d, want %d", got, won+1)
-				}
 			},
 		},
 	}

@@ -21,17 +21,11 @@ var (
 	ClusterRoutedOrdered     Counter
 	ClusterRoutedFallback    Counter
 
-	// Hedging: second-replica requests fired after the latency trigger, and
-	// how many of those returned first (won the race against the primary).
-	ClusterHedgesFired Counter
-	ClusterHedgesWon   Counter
-
 	// Retries against another replica after a retryable failure (429/503 or
-	// a transport error), and dispatches the hedge/retry token buckets
-	// refused — the budget backstop that keeps a cluster client from
-	// amplifying load into an already-overloaded fleet.
+	// a transport error), and retries the retry token bucket refused — the
+	// budget backstop that keeps a cluster client from amplifying load into
+	// an already-overloaded fleet.
 	ClusterRetries           Counter
-	ClusterHedgeBudgetDenied Counter
 	ClusterRetryBudgetDenied Counter
 
 	// Failure-detector state: instantaneous peer counts per state, and

@@ -124,18 +124,13 @@ var registry = []metric{
 	{name: "szx_batch_array_errors_total", help: "Arrays that failed individually inside an otherwise successful batch.", c: &BatchArrayErrors},
 	{name: "szx_batch_arrays_per_request", help: "Arrays carried per batch request.", h: &BatchArraysPerRequest, scale: 1},
 	{name: "szx_batch_array_bytes", help: "Payload bytes per batched array.", h: &BatchArrayBytes, scale: 1},
-	{name: "szx_batch_coalesced_calls_total", help: "Client calls merged into coalesced batch requests.", c: &BatchCoalescedCalls},
-	{name: "szx_batch_coalesce_wait_seconds", help: "Time an individual client call waited for its coalesced batch to flush.", h: &BatchCoalesceWaits, scale: 1e-9},
 
 	{name: "szx_cluster_routing_total", help: "Cluster routing decisions, by the policy that made them (fallback = no routable node, resorted to a suspect/dead peer).", labels: `{policy="hash"}`, c: &ClusterRoutedHash},
 	{name: "szx_cluster_routing_total", labels: `{policy="least_loaded"}`, c: &ClusterRoutedLeastLoaded},
 	{name: "szx_cluster_routing_total", labels: `{policy="ordered"}`, c: &ClusterRoutedOrdered},
 	{name: "szx_cluster_routing_total", labels: `{policy="fallback"}`, c: &ClusterRoutedFallback},
-	{name: "szx_cluster_hedges_total", help: "Hedged (second-replica) requests: fired after the latency trigger, won = hedge returned before the primary.", labels: `{event="fired"}`, c: &ClusterHedgesFired},
-	{name: "szx_cluster_hedges_total", labels: `{event="won"}`, c: &ClusterHedgesWon},
 	{name: "szx_cluster_retries_total", help: "Requests retried against another replica after a retryable failure.", c: &ClusterRetries},
-	{name: "szx_cluster_budget_denied_total", help: "Hedges/retries suppressed by the amplification budget.", labels: `{kind="hedge"}`, c: &ClusterHedgeBudgetDenied},
-	{name: "szx_cluster_budget_denied_total", labels: `{kind="retry"}`, c: &ClusterRetryBudgetDenied},
+	{name: "szx_cluster_budget_denied_total", help: "Retries suppressed by the amplification budget.", labels: `{kind="retry"}`, c: &ClusterRetryBudgetDenied},
 	{name: "szx_cluster_peer_state", help: "Peers per failure-detector state.", labels: `{state="alive"}`, g: &ClusterPeersAlive},
 	{name: "szx_cluster_peer_state", labels: `{state="suspect"}`, g: &ClusterPeersSuspect},
 	{name: "szx_cluster_peer_state", labels: `{state="dead"}`, g: &ClusterPeersDead},

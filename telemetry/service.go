@@ -45,10 +45,4 @@ var (
 	BatchArrayErrors               Counter   // arrays that failed individually (batch still 200)
 	BatchArraysPerRequest          Histogram // arrays per batch request
 	BatchArrayBytes                Histogram // payload bytes per array
-
-	// Client-side coalescing (service/client auto-batching of concurrent
-	// small calls). CoalesceWaits is the latency an individual call spent
-	// parked before its batch flushed — the price paid for amortization.
-	BatchCoalescedCalls Counter
-	BatchCoalesceWaits  Histogram // ns from enqueue to batch flush
 )
