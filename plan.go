@@ -158,8 +158,9 @@ func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error)
 }
 
 // relativeBound converts a value-range-relative bound into the absolute
-// bound embedded in the stream. (The range is accumulated in float64 for
-// both element types; for float64 inputs the conversions are identities.)
+// bound embedded in the stream. The range is that of the non-NaN values
+// (see core.ValueRange), taken in float64 for both element types; for
+// float64 inputs the conversions are identities.
 func relativeBound[T Float](data []T, o Options) (float64, error) {
 	if !(o.ErrorBound > 0) {
 		return 0, ErrErrBound
@@ -170,25 +171,12 @@ func relativeBound[T Float](data []T, o Options) (float64, error) {
 	if telemetry.Enabled() {
 		telemetry.RelativeBoundResolves.Inc()
 	}
-	mn, mx := minMax(data)
+	mn, mx := core.ValueRange(data)
 	r := float64(mx) - float64(mn)
 	if !(r > 0) || math.IsInf(r, 0) {
 		return 0, ErrDegenerateRange
 	}
 	return o.ErrorBound * r, nil
-}
-
-func minMax[T Float](data []T) (mn, mx T) {
-	mn, mx = data[0], data[0]
-	for _, v := range data[1:] {
-		if v < mn {
-			mn = v
-		}
-		if v > mx {
-			mx = v
-		}
-	}
-	return mn, mx
 }
 
 // --- fixed-ratio search ----------------------------------------------------
@@ -251,12 +239,12 @@ func resolveRatio[T Float](p *Plan, data []T, opt Options, rs *ratioScratch) err
 	if telemetry.Enabled() {
 		telemetry.RatioSearches.Inc()
 	}
-	mn, mx := minMax(data)
+	mn, mx := core.ValueRange(data)
 	rangeV := float64(mx) - float64(mn)
 	if !(rangeV > 0) || math.IsInf(rangeV, 0) {
-		// Constant (or NaN/Inf-polluted) data: every bound yields the same
-		// saturated ratio, so searching is pointless. Pick a bound at the
-		// value's own scale — honest, and tiny relative to the data.
+		// Constant (all-NaN, or Inf-spanning) data: every bound yields the
+		// same saturated ratio, so searching is pointless. Pick a bound at
+		// the value's own scale — honest, and tiny relative to the data.
 		b := math.Abs(float64(mx)) * 1e-9
 		if !(b > 0) || math.IsInf(b, 0) {
 			b = 1e-9
@@ -490,7 +478,7 @@ func ratioChunkBound(opt Options, seed float64, chunk []float32) (float64, error
 	if telemetry.Enabled() {
 		telemetry.RatioReestimates.Inc()
 	}
-	mn, mx := minMax(chunk)
+	mn, mx := core.ValueRange(chunk)
 	rangeV := float64(mx) - float64(mn)
 	if !(rangeV > 0) || math.IsInf(rangeV, 0) {
 		// Flat chunk: constant blocks at any bound; the seed stays honest.

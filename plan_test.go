@@ -2,10 +2,13 @@ package szx
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/datagen"
 )
 
@@ -245,6 +248,183 @@ func TestResolvePlanRelative(t *testing.T) {
 	}
 	if _, err := ResolvePlan([]float32{5, 5, 5}, Options{ErrorBound: 0.01, Mode: BoundRelative}); err != ErrDegenerateRange {
 		t.Fatalf("degenerate relative: got %v, want bare ErrDegenerateRange", err)
+	}
+}
+
+// TestRelativeLeadingNaN: a relative or fixed-ratio bound scales the range
+// of the non-NaN values wherever the NaNs sit, including data[0] and the
+// first value of a stream chunk, where the range scan seeds itself.
+func TestRelativeLeadingNaN(t *testing.T) {
+	nan := float32(math.NaN())
+	rel := Options{ErrorBound: 0.01, Mode: BoundRelative}
+
+	// One-shot: a leading NaN resolves the same bound as an inner one.
+	for _, data := range [][]float32{{nan, 1, 2, 3}, {1, nan, 2, 3}} {
+		comp, err := Compress(data, rel)
+		if err != nil {
+			t.Fatalf("%v: %v", data, err)
+		}
+		h, err := Info(comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Abs(h.ErrBound-0.02) > 1e-15 {
+			t.Errorf("%v: resolved bound %g, want 0.02", data, h.ErrBound)
+		}
+	}
+
+	// Stream: a NaN opening the second chunk must not fail the stream.
+	const chunk = 4096
+	data := testField(3*chunk, 3)
+	data[chunk] = nan
+	var buf bytes.Buffer
+	w := NewWriter(&buf, rel, chunk)
+	if err := errors.Join(w.Write(data), w.Close()); err != nil {
+		t.Fatalf("stream with a NaN at value %d: %v", chunk, err)
+	}
+	stream := buf.Bytes()
+	dec, err := NewReader(bytes.NewReader(stream)).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each frame's bound is 0.01 of its chunk's non-NaN range, and the
+	// decoded chunk stays within it.
+	fr := frameReader{codec: &streamFrames, r: bytes.NewReader(stream)}
+	for lo := 0; lo < len(data); lo += chunk {
+		frame, idx, _, err := fr.next(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := Info(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mn, mx := nonNaNRange(data[lo : lo+chunk])
+		if want := rel.ErrorBound * (mx - mn); h.ErrBound != want {
+			t.Errorf("frame %d: bound %g, want %g", idx, h.ErrBound, want)
+		}
+		for i := lo; i < lo+chunk; i++ {
+			if d := math.Abs(float64(data[i]) - float64(dec[i])); d > h.ErrBound || (d != d) != (data[i] != data[i]) {
+				t.Fatalf("value %d: %g decoded as %g (frame bound %g)", i, data[i], dec[i], h.ErrBound)
+			}
+		}
+	}
+
+	// Fixed ratio: a leading NaN must not send the search down the
+	// constant-data path, whose bound ignores the data's range.
+	data = testField(8192, 5)
+	data[0] = nan
+	p, err := ResolvePlan(data, Options{TargetRatio: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mn, mx := nonNaNRange(data); !p.Converged || !(p.Bound > 0) || p.Bound > (mx-mn)/2 {
+		t.Errorf("leading NaN: bound %g (converged %v, %d probes), want a converged search within the range",
+			p.Bound, p.Converged, p.Probes)
+	}
+}
+
+// nonNaNRange is the range of vals' non-NaN values by a plain loop, kept
+// apart from core.ValueRange so that it can check it.
+func nonNaNRange(vals []float32) (mn, mx float64) {
+	mn, mx = math.Inf(1), math.Inf(-1)
+	for _, v := range vals {
+		if v == v {
+			mn, mx = min(mn, float64(v)), max(mx, float64(v))
+		}
+	}
+	return mn, mx
+}
+
+// TestRelativeConcurrentCodecs resolves relative bounds from several
+// goroutines at once: four relative-bound Codecs at Workers 2 share the
+// engine's worker pool, each compressing a NaN-bearing field, and every
+// output must equal the serial stream byte for byte. ParallelMinBytes = 0
+// keeps Workers 2 on the parallel engine even at GOMAXPROCS 1.
+func TestRelativeConcurrentCodecs(t *testing.T) {
+	saved := core.ParallelMinBytes
+	core.ParallelMinBytes = 0
+	defer func() { core.ParallelMinBytes = saved }()
+	data := testField(1<<17, 19)
+	for i := 0; i < len(data); i += 1024 { // data[0] and every 8th block start
+		data[i] = float32(math.NaN())
+	}
+	opt := Options{ErrorBound: 1e-3, Mode: BoundRelative}
+	want, err := CompressInto(nil, data, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt.Workers = 2
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := NewCodec[float32](opt)
+			for i := 0; i < 3; i++ {
+				got, err := c.Compress(data)
+				if err != nil {
+					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d call %d: stream differs from serial CompressInto", g, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestRangeResolvedGoldenHashes pins, with SHA-256 hashes recorded before
+// the range scan moved into internal/core, the streams whose bound is
+// resolved from a value range on NaN-free data: a relative-bound one-shot
+// of each element type, a relative-bound SZXS container that resolves
+// every chunk, and a fixed-ratio SZXS container whose chunk 0 runs the
+// full search and whose later chunks re-estimate, each at Workers 0 and 2.
+// ParallelMinBytes = 0 keeps Workers 2 on the parallel engine even at
+// GOMAXPROCS 1.
+func TestRangeResolvedGoldenHashes(t *testing.T) {
+	saved := core.ParallelMinBytes
+	core.ParallelMinBytes = 0
+	defer func() { core.ParallelMinBytes = saved }()
+
+	f32 := testField(100000, 41)
+	f64 := make([]float64, len(f32))
+	for i, v := range f32 {
+		f64[i] = float64(v) + 1e-7*float64(i%13)
+	}
+	rel := Options{ErrorBound: 1e-3, Mode: BoundRelative}
+	container := func(opt Options) ([]byte, error) {
+		var buf bytes.Buffer
+		w := NewWriter(&buf, opt, 1<<15)
+		err := errors.Join(w.Write(f32), w.Close())
+		return buf.Bytes(), err
+	}
+	for _, tc := range []struct {
+		name, golden string
+		build        func(opt Options) ([]byte, error)
+		opt          Options
+	}{
+		{"relative f32 one-shot", "f8e652e148c96d1fb78db9863649de3376bdf660588db554f454966014f372d2",
+			func(o Options) ([]byte, error) { return CompressInto(nil, f32, o) }, rel},
+		{"relative f64 one-shot", "ecc0ad36cfc27e782d0bb0689b97828012eedcc88b711f0e3d7609de29061cc2",
+			func(o Options) ([]byte, error) { return CompressInto(nil, f64, o) }, rel},
+		{"relative SZXS", "2b2525a931e837ad46aacfb0948cdbc8fe931970565524a5d75a463e32157b6b", container, rel},
+		{"target-ratio SZXS", "d4c4de64e767ba38524f59639360414f297207365276b78d82f8bd943d6985b0", container, Options{TargetRatio: 6}},
+	} {
+		for _, w := range []int{0, 2} {
+			opt := tc.opt
+			opt.Workers = w
+			out, err := tc.build(opt)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", tc.name, w, err)
+			}
+			if got := hex.EncodeToString(sumOf(out)); got != tc.golden {
+				t.Errorf("%s workers=%d: stream hash %s, want %s", tc.name, w, got, tc.golden)
+			}
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ type scratch struct {
 	c64   *szx.Codec[float64]
 	class int // pool index this scratch was drawn from
 	hint  int // declared body size for this lease (0 = unknown)
+	// probe is readBody's EOF probe. It lives here rather than on the
+	// stack because a buffer passed to io.Reader.Read escapes to the heap.
+	probe [1]byte
 }
 
 // Scratch buffers are size-classed so small requests never pay big-request
@@ -120,11 +123,19 @@ func (sc *scratch) readBody(r io.Reader, max int64) ([]byte, error) {
 			sc.raw = buf
 			return nil, errBodyTooLarge
 		}
-		if len(buf) == cap(buf) {
-			buf = append(buf, 0)[:len(buf)]
+		var n int
+		var err error
+		if len(buf) < cap(buf) {
+			n, err = r.Read(buf[len(buf):cap(buf)])
+			buf = buf[:len(buf)+n]
+		} else {
+			// A full buffer is most often an exact fit: a body the size of
+			// its class. Probe for EOF before growing, so the buffer stays
+			// inside its class (and putScratch files the scratch back where
+			// it came from); grow only if a byte arrives.
+			n, err = r.Read(sc.probe[:])
+			buf = append(buf, sc.probe[:n]...)
 		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
 		if err == io.EOF {
 			sc.raw = buf
 			if int64(len(buf)) > max {

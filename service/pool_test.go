@@ -68,6 +68,28 @@ func TestScratchReclassOnRelease(t *testing.T) {
 	}
 }
 
+// TestScratchClassBoundaries: a body at a class size, one byte under or
+// one byte over returns its scratch to the class it was leased from. A
+// body that exactly fills its buffer must not grow it past the class while
+// probing for EOF.
+func TestScratchClassBoundaries(t *testing.T) {
+	for _, size := range scratchClassSizes {
+		for _, n := range []int{size - 1, size, size + 1} {
+			sc := getScratch(int64(n))
+			leased := sc.class
+			body, err := sc.readBody(bytes.NewReader(make([]byte, n)), 1<<30)
+			if err != nil || len(body) != n {
+				t.Fatalf("%d-byte body: read %d bytes, err %v", n, len(body), err)
+			}
+			putScratch(sc)
+			if sc.class != leased {
+				t.Errorf("%d-byte body: scratch leased from class %d returned to class %d (buffer cap %d)",
+					n, leased, sc.class, cap(sc.raw))
+			}
+		}
+	}
+}
+
 // TestClassForSize pins the boundaries.
 func TestClassForSize(t *testing.T) {
 	for _, tc := range []struct {

@@ -99,8 +99,10 @@ var (
 )
 
 // ErrDegenerateRange is returned for BoundRelative when the data has no
-// value range (all values equal, or empty input), which makes a relative
-// bound meaningless.
+// usable value range, which makes a relative bound meaningless. The range
+// is taken over the non-NaN values, so the data is degenerate when it is
+// empty, all NaN, flat (every non-NaN value equal), or when max−min is
+// infinite (an ±Inf value, or a float64 span that overflows).
 var ErrDegenerateRange = errors.New("szx: relative bound on data with zero value range")
 
 // Options configures compression.
