@@ -27,112 +27,102 @@ var hostLE = func() bool {
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// f32Raw views vals' storage as bytes. Valid only while vals is alive and
+// Float is the element types the wire carries.
+type Float interface{ ~float32 | ~float64 }
+
+// raw views vals' storage as bytes. Valid only while vals is alive and
 // unmoved; every exported caller copies out of the view before returning.
-func f32Raw(vals []float32) []byte {
+func raw[T Float](vals []T) []byte {
 	if len(vals) == 0 {
 		return nil
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 4*len(vals))
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), len(vals)*Size[T]())
 }
 
-func f64Raw(vals []float64) []byte {
-	if len(vals) == 0 {
-		return nil
+// Append appends vals' wire bytes to dst.
+func Append[T Float](dst []byte, vals []T) []byte {
+	if hostLE {
+		return append(dst, raw(vals)...)
 	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(vals))), 8*len(vals))
+	for _, v := range vals {
+		if Size[T]() == 4 {
+			dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(float32(v)))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(float64(v)))
+		}
+	}
+	return dst
+}
+
+// Put writes vals' wire bytes into dst, which must hold them all.
+func Put[T Float](dst []byte, vals []T) {
+	if hostLE {
+		copy(dst, raw(vals))
+		return
+	}
+	Append(dst[:0], vals) // fits in place: dst holds them all
+}
+
+// Decode fills dst from its wire bytes; b must hold at least len(dst)
+// values.
+func Decode[T Float](dst []T, b []byte) {
+	if hostLE {
+		copy(raw(dst), b)
+		return
+	}
+	for i := range dst {
+		if Size[T]() == 4 {
+			dst[i] = T(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+		} else {
+			dst[i] = T(math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:])))
+		}
+	}
+}
+
+// Size is the wire width of one T, in bytes.
+func Size[T Float]() int {
+	var zero T
+	return int(unsafe.Sizeof(zero))
+}
+
+// Values decodes b's wire values into dst's reused capacity and returns
+// the resized slice.
+func Values[T Float](dst []T, b []byte) []T {
+	n := len(b) / Size[T]()
+	if cap(dst) < n {
+		dst = make([]T, n)
+	}
+	dst = dst[:n]
+	Decode(dst, b)
+	return dst
 }
 
 // AppendF32 appends vals' wire bytes to dst.
-func AppendF32(dst []byte, vals []float32) []byte {
-	if hostLE {
-		return append(dst, f32Raw(vals)...)
-	}
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint32(dst, math.Float32bits(v))
-	}
-	return dst
-}
+func AppendF32(dst []byte, vals []float32) []byte { return Append(dst, vals) }
 
 // AppendF64 appends vals' wire bytes to dst.
-func AppendF64(dst []byte, vals []float64) []byte {
-	if hostLE {
-		return append(dst, f64Raw(vals)...)
-	}
-	for _, v := range vals {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
+func AppendF64(dst []byte, vals []float64) []byte { return Append(dst, vals) }
 
 // PutF32 writes vals' wire bytes into dst, which must hold 4*len(vals)
 // bytes.
-func PutF32(dst []byte, vals []float32) {
-	if hostLE {
-		copy(dst, f32Raw(vals))
-		return
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint32(dst[4*i:], math.Float32bits(v))
-	}
-}
+func PutF32(dst []byte, vals []float32) { Put(dst, vals) }
 
 // PutF64 writes vals' wire bytes into dst, which must hold 8*len(vals)
 // bytes.
-func PutF64(dst []byte, vals []float64) {
-	if hostLE {
-		copy(dst, f64Raw(vals))
-		return
-	}
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(dst[8*i:], math.Float64bits(v))
-	}
-}
+func PutF64(dst []byte, vals []float64) { Put(dst, vals) }
 
 // DecodeF32 fills dst from its wire bytes; len(b) must be at least
 // 4*len(dst).
-func DecodeF32(dst []float32, b []byte) {
-	if hostLE {
-		copy(f32Raw(dst), b[:4*len(dst)])
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-}
+func DecodeF32(dst []float32, b []byte) { Decode(dst, b) }
 
 // DecodeF64 fills dst from its wire bytes; len(b) must be at least
 // 8*len(dst).
-func DecodeF64(dst []float64, b []byte) {
-	if hostLE {
-		copy(f64Raw(dst), b[:8*len(dst)])
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-}
+func DecodeF64(dst []float64, b []byte) { Decode(dst, b) }
 
 // F32 decodes b's wire float32s into dst's reused capacity and returns the
 // resized slice.
-func F32(dst []float32, b []byte) []float32 {
-	n := len(b) / 4
-	if cap(dst) < n {
-		dst = make([]float32, n)
-	}
-	dst = dst[:n]
-	DecodeF32(dst, b)
-	return dst
-}
+func F32(dst []float32, b []byte) []float32 { return Values(dst, b) }
 
 // F64 decodes b's wire float64s into dst's reused capacity and returns the
 // resized slice.
-func F64(dst []float64, b []byte) []float64 {
-	n := len(b) / 8
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	dst = dst[:n]
-	DecodeF64(dst, b)
-	return dst
-}
+func F64(dst []float64, b []byte) []float64 { return Values(dst, b) }

@@ -1,11 +1,11 @@
 package service
 
 import (
-	"net/http"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/service/internal/wire"
 	"repro/telemetry"
 )
 
@@ -47,8 +47,7 @@ func (a *admission) queueDepth() int { return int(a.queued.Load()) }
 
 // denial describes why admission refused a request.
 type denial struct {
-	status     int           // 429 or 503
-	code       string        // wire error code
+	code       string        // wire error code: its status is 429, 499 or 503
 	msg        string        // human-readable detail
 	retryAfter time.Duration // Retry-After hint
 }
@@ -63,10 +62,7 @@ type denial struct {
 func (a *admission) admit(done <-chan struct{}, traceID string) (func(), *denial) {
 	if a.isDrain.Load() {
 		telemetry.ServiceRejectedDraining.Inc()
-		return nil, &denial{
-			status: http.StatusServiceUnavailable, code: codeDraining,
-			msg: "server is draining", retryAfter: a.queueWait,
-		}
+		return nil, &denial{code: wire.CodeDraining, msg: "server is draining", retryAfter: a.queueWait}
 	}
 
 	// Fast path: a slot is free right now; skip the queue accounting and
@@ -85,10 +81,7 @@ func (a *admission) admit(done <-chan struct{}, traceID string) (func(), *denial
 	if a.queued.Add(1) > a.maxQueue {
 		a.queued.Add(-1)
 		telemetry.ServiceRejectedQueueFull.Inc()
-		return nil, &denial{
-			status: http.StatusTooManyRequests, code: codeOverloaded,
-			msg: "admission queue full", retryAfter: a.queueWait,
-		}
+		return nil, &denial{code: wire.CodeOverloaded, msg: "admission queue full", retryAfter: a.queueWait}
 	}
 	telemetry.ServiceQueueDepth.Inc()
 	start := time.Now()
@@ -106,22 +99,13 @@ func (a *admission) admit(done <-chan struct{}, traceID string) (func(), *denial
 		return a.release, nil
 	case <-timer.C:
 		telemetry.ServiceRejectedWaitTimeout.Inc()
-		return nil, &denial{
-			status: http.StatusTooManyRequests, code: codeOverloaded,
-			msg: "timed out waiting for an execution slot", retryAfter: a.queueWait,
-		}
+		return nil, &denial{code: wire.CodeOverloaded, msg: "timed out waiting for an execution slot", retryAfter: a.queueWait}
 	case <-a.drainCh:
 		telemetry.ServiceRejectedDraining.Inc()
-		return nil, &denial{
-			status: http.StatusServiceUnavailable, code: codeDraining,
-			msg: "server is draining", retryAfter: a.queueWait,
-		}
+		return nil, &denial{code: wire.CodeDraining, msg: "server is draining", retryAfter: a.queueWait}
 	case <-done:
 		telemetry.ServiceCancelledRequests.Inc()
-		return nil, &denial{
-			status: statusClientClosedRequest, code: codeCancelled,
-			msg: "client closed request while queued",
-		}
+		return nil, &denial{code: wire.CodeCancelled, msg: "client closed request while queued"}
 	}
 }
 

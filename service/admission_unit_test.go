@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/service/internal/wire"
 	"repro/telemetry"
 )
 
@@ -50,8 +51,8 @@ func TestAdmitCancelledWhileQueued(t *testing.T) {
 	if d == nil {
 		t.Fatal("cancelled admit was granted a slot")
 	}
-	if d.status != statusClientClosedRequest || d.code != codeCancelled {
-		t.Fatalf("denial = %+v, want status %d code %q", d, statusClientClosedRequest, codeCancelled)
+	if d.code != wire.CodeCancelled || wire.Status(d.code) != 499 {
+		t.Fatalf("denial = %+v, want status 499 code %q", d, wire.CodeCancelled)
 	}
 	if got := telemetry.ServiceCancelledRequests.Load(); got != before+1 {
 		t.Fatalf("cancelled counter = %d, want %d", got, before+1)

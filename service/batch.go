@@ -1,15 +1,13 @@
 package service
 
 import (
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"net/http"
-	"slices"
 	"sync"
 
 	szx "repro"
 	"repro/internal/wireconv"
+	"repro/service/internal/wire"
 	"repro/telemetry"
 )
 
@@ -20,34 +18,13 @@ import (
 // ONE pooled scratch, and the arrays ride the codec's work-stealing queue
 // as work items via szx.CompressBatch/DecompressBatch.
 //
-// Wire format (SZXB), little-endian throughout:
-//
-//	request:  "SZXB" | u8 version=1 | u32 count | count × (u32 len | payload)
-//	response: "SZXB" | u8 version=1 | u32 count | count × (u8 status | u32 len | payload)
-//
-// A response entry's status is 0 (ok: payload is the result bytes) or 1
-// (error: payload is a JSON object {"code","error","index"} — the same code
-// vocabulary as one-shot wire errors, plus the array's position). Per-array
-// failures leave the batch a 200: one corrupt array never fails its
-// neighbours. Only envelope-level problems (bad magic/version, truncated
-// framing, empty batch, count over MaxBatchArrays, bad query parameters)
-// fail the whole request with a 4xx.
-
-const (
-	batchMagic   = "SZXB"
-	batchVersion = 1
-	// batchHeaderLen is magic + version + count.
-	batchHeaderLen = len(batchMagic) + 1 + 4
-)
-
-// batchError is the JSON payload of a failed response entry. It is distinct
-// from wireError because Index must always serialize — omitempty would drop
-// array 0 — and positional context replaces frame/offset.
-type batchError struct {
-	Code    string `json:"code"`
-	Message string `json:"error"`
-	Index   int    `json:"index"`
-}
+// Both directions are SZXB-framed (package wire). A response entry carries
+// either the array's result or its error, with the same code vocabulary as
+// one-shot wire errors plus the array's position. Per-array failures leave
+// the batch a 200: one corrupt array never fails its neighbours. Only
+// envelope-level problems (bad magic/version, truncated framing, empty
+// batch, count over MaxBatchArrays, bad query parameters) fail the whole
+// request with a 4xx.
 
 // batchScratch is the per-request working set for batch endpoints: the
 // positional slices the batch API fills. Pooled separately from scratch
@@ -74,217 +51,10 @@ func putBatchScratch(bs *batchScratch) {
 	batchPool.Put(bs)
 }
 
-// growViews resizes a positional slice to n, reusing the backing array (and
-// any per-element buffer capacity) of a warm scratch.
-func growViews[S any](s []S, n int) []S {
-	return slices.Grow(s[:0], n)[:n]
-}
-
-// parseBatchFrames validates the SZXB envelope and returns per-array
-// payload views into body (no copying). Any error here condemns the whole
-// request — past this point failures are per-array.
-func parseBatchFrames(views [][]byte, body []byte, maxArrays int) ([][]byte, error) {
-	if len(body) < batchHeaderLen {
-		return views[:0], fmt.Errorf("batch body too short for the SZXB header (%d bytes)", len(body))
-	}
-	if string(body[:4]) != batchMagic {
-		return views[:0], fmt.Errorf("bad batch magic %q (want %q)", body[:4], batchMagic)
-	}
-	if body[4] != batchVersion {
-		return views[:0], fmt.Errorf("unsupported batch version %d (want %d)", body[4], batchVersion)
-	}
-	count := int(binary.LittleEndian.Uint32(body[5:9]))
-	if count == 0 {
-		return views[:0], fmt.Errorf("empty batch")
-	}
-	if count > maxArrays {
-		return views[:0], fmt.Errorf("batch of %d arrays exceeds the %d-array limit", count, maxArrays)
-	}
-	views = growViews(views, count)
-	off := batchHeaderLen
-	for i := 0; i < count; i++ {
-		if len(body)-off < 4 {
-			return views[:0], fmt.Errorf("batch truncated in array %d's length prefix", i)
-		}
-		n := int(binary.LittleEndian.Uint32(body[off : off+4]))
-		off += 4
-		if len(body)-off < n {
-			return views[:0], fmt.Errorf("batch truncated in array %d: frame declares %d bytes, %d remain", i, n, len(body)-off)
-		}
-		views[i] = body[off : off+n]
-		off += n
-	}
-	if off != len(body) {
-		return views[:0], fmt.Errorf("%d trailing bytes after the last array", len(body)-off)
-	}
-	return views, nil
-}
-
-// appendBatchHeader starts a response (or request — the client package
-// builds the same envelope) in out.
-func appendBatchHeader(out []byte, count int) []byte {
-	out = append(out, batchMagic...)
-	out = append(out, batchVersion)
-	return binary.LittleEndian.AppendUint32(out, uint32(count))
-}
-
-// appendBatchOK appends a status-0 response entry carrying payload.
-func appendBatchOK(out, payload []byte) []byte {
-	out = append(out, 0)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...)
-}
-
-// appendBatchErr appends a status-1 response entry carrying be as JSON.
-func appendBatchErr(out []byte, be batchError) []byte {
-	msg, err := json.Marshal(be)
-	if err != nil { // a struct of strings and an int cannot fail to marshal
-		msg = []byte(`{"code":"internal","error":"error encoding failed"}`)
-	}
-	out = append(out, 1)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(msg)))
-	return append(out, msg...)
-}
-
-// batchOptions parses the shared query options and applies the batch
-// default: unless the request pins ?workers=, a batch runs at the server's
-// worker cap — the whole point of batching is one wide engine pass.
-func (s *Server) batchOptions(r *http.Request) (szx.Options, int, error) {
-	q := r.URL.Query()
-	opt, elemSize, err := s.parseOptions(q)
-	if err != nil {
-		return opt, elemSize, err
-	}
-	if q.Get("workers") == "" {
-		opt.Workers = s.cfg.MaxWorkers
-	}
-	return opt, elemSize, nil
-}
-
 // handleBatchCompress runs a whole SZXB batch of raw float arrays through
 // one engine pass and returns an SZXB batch of SZx streams.
 func (s *Server) handleBatchCompress(w http.ResponseWriter, r *http.Request) {
-	rq, w, r, ok := s.begin(w, r, &telemetry.ServiceRequestsBatchCompress, "batch_compress")
-	if !ok {
-		return
-	}
-	defer rq.end()
-
-	opt, elemSize, err := s.batchOptions(r)
-	if err != nil {
-		rq.badRequest(w, err.Error())
-		return
-	}
-	sc := getScratch(r.ContentLength)
-	defer putScratch(sc)
-	body := readRequestBody(w, r, sc, s.cfg.MaxBodyBytes, rq.tr)
-	if body == nil {
-		return
-	}
-	bs := getBatchScratch()
-	defer putBatchScratch(bs)
-
-	sp := rq.tr.StartSpan("parse_frames")
-	bs.views, err = parseBatchFrames(bs.views, body, s.cfg.MaxBatchArrays)
-	sp.End()
-	if err != nil {
-		rq.badRequest(w, err.Error())
-		return
-	}
-	n := len(bs.views)
-	telemetry.BatchArrays.Add(int64(n))
-	telemetry.BatchArraysPerRequest.Observe(int64(n))
-	for _, v := range bs.views {
-		telemetry.BatchArrayBytes.Observe(int64(len(v)))
-	}
-
-	// Unpack every aligned array into one flat value buffer and hand the
-	// batch API subslice views; misaligned arrays get a nil array here and a
-	// per-array bad_request below, never a whole-batch failure.
-	sp = rq.tr.StartSpan("unpack_body")
-	if elemSize == 4 {
-		bs.f32s = growViews(bs.f32s, n)
-		total := 0
-		for _, v := range bs.views {
-			total += len(v) / 4
-		}
-		flat := sc.f32[:0]
-		if cap(flat) < total {
-			flat = make([]float32, total)
-		}
-		flat = flat[:total]
-		sc.f32 = flat
-		off := 0
-		for i, v := range bs.views {
-			if len(v)%4 != 0 {
-				bs.f32s[i] = nil
-				continue
-			}
-			arr := flat[off : off+len(v)/4]
-			wireconv.DecodeF32(arr, v)
-			bs.f32s[i] = arr
-			off += len(arr)
-		}
-		sp.End()
-		sp = rq.tr.StartSpan("compress_batch")
-		bs.outs, bs.errs = szx.CompressBatch(bs.outs, bs.errs, bs.f32s, opt)
-		sp.End()
-		clear(bs.f32s) // views into the pooled scratch buffer; don't pin it
-	} else {
-		bs.f64s = growViews(bs.f64s, n)
-		total := 0
-		for _, v := range bs.views {
-			total += len(v) / 8
-		}
-		flat := sc.f64[:0]
-		if cap(flat) < total {
-			flat = make([]float64, total)
-		}
-		flat = flat[:total]
-		sc.f64 = flat
-		off := 0
-		for i, v := range bs.views {
-			if len(v)%8 != 0 {
-				bs.f64s[i] = nil
-				continue
-			}
-			arr := flat[off : off+len(v)/8]
-			wireconv.DecodeF64(arr, v)
-			bs.f64s[i] = arr
-			off += len(arr)
-		}
-		sp.End()
-		sp = rq.tr.StartSpan("compress_batch")
-		bs.outs, bs.errs = szx.CompressBatch(bs.outs, bs.errs, bs.f64s, opt)
-		sp.End()
-		clear(bs.f64s)
-	}
-
-	out := appendBatchHeader(sc.out[:0], n)
-	failed := 0
-	for i := 0; i < n; i++ {
-		switch {
-		case len(bs.views[i])%elemSize != 0:
-			failed++
-			out = appendBatchErr(out, batchError{
-				Code: codeBadRequest,
-				Message: fmt.Sprintf("array length %d is not a multiple of the %d-byte element size",
-					len(bs.views[i]), elemSize),
-				Index: i,
-			})
-		case bs.errs[i] != nil:
-			failed++
-			_, we := classify(bs.errs[i])
-			out = appendBatchErr(out, batchError{Code: we.Code, Message: we.Message, Index: i})
-		default:
-			out = appendBatchOK(out, bs.outs[i])
-		}
-	}
-	sc.out = out
-	telemetry.BatchArrayErrors.Add(int64(failed))
-	sp = rq.tr.StartSpan("write_response")
-	writeBinary(w, out)
-	sp.End()
+	s.handleBatch(w, r, true)
 }
 
 // handleBatchDecompress runs an SZXB batch of SZx streams through one
@@ -292,20 +62,36 @@ func (s *Server) handleBatchCompress(w http.ResponseWriter, r *http.Request) {
 // Each stream must match the batch's element type (?t=); SZXS streaming
 // containers are not batchable and fail their array as corrupt.
 func (s *Server) handleBatchDecompress(w http.ResponseWriter, r *http.Request) {
-	rq, w, r, ok := s.begin(w, r, &telemetry.ServiceRequestsBatchDecompress, "batch_decompress")
+	s.handleBatch(w, r, false)
+}
+
+// handleBatch is both batch endpoints: admission, options, one scratch
+// lease and the envelope parse, then one typed engine pass.
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request, compress bool) {
+	reqs, name := &telemetry.ServiceRequestsBatchDecompress, "batch_decompress"
+	if compress {
+		reqs, name = &telemetry.ServiceRequestsBatchCompress, "batch_compress"
+	}
+	rq, w, r, ok := s.begin(w, r, reqs, name)
 	if !ok {
 		return
 	}
 	defer rq.end()
 
-	opt, elemSize, err := s.batchOptions(r)
+	q := r.URL.Query()
+	opt, elemSize, err := s.parseOptions(q)
 	if err != nil {
-		rq.badRequest(w, err.Error())
+		rq.fail(w, err)
 		return
+	}
+	// Unless the request pins ?workers=, a batch runs at the server's
+	// worker cap: the whole point of batching is one wide engine pass.
+	if q.Get("workers") == "" {
+		opt.Workers = s.cfg.MaxWorkers
 	}
 	sc := getScratch(r.ContentLength)
 	defer putScratch(sc)
-	body := readRequestBody(w, r, sc, s.cfg.MaxBodyBytes, rq.tr)
+	body := rq.readBody(w, r, sc)
 	if body == nil {
 		return
 	}
@@ -313,56 +99,97 @@ func (s *Server) handleBatchDecompress(w http.ResponseWriter, r *http.Request) {
 	defer putBatchScratch(bs)
 
 	sp := rq.tr.StartSpan("parse_frames")
-	bs.views, err = parseBatchFrames(bs.views, body, s.cfg.MaxBatchArrays)
+	bs.views, err = wire.ParseRequest(bs.views, body, s.cfg.MaxBatchArrays)
 	sp.End()
 	if err != nil {
 		rq.badRequest(w, err.Error())
 		return
 	}
-	n := len(bs.views)
-	telemetry.BatchArrays.Add(int64(n))
-	telemetry.BatchArraysPerRequest.Observe(int64(n))
+	telemetry.BatchArrays.Add(int64(len(bs.views)))
+	telemetry.BatchArraysPerRequest.Observe(int64(len(bs.views)))
 	for _, v := range bs.views {
 		telemetry.BatchArrayBytes.Observe(int64(len(v)))
 	}
 
-	out := appendBatchHeader(sc.out[:0], n)
-	failed := 0
-	sp = rq.tr.StartSpan("decompress_batch")
-	if elemSize == 4 {
-		bs.f32s, bs.errs = szx.DecompressBatch(bs.f32s, bs.errs, bs.views, opt.Workers)
-		sp.End()
-		for i := 0; i < n; i++ {
-			if bs.errs[i] != nil {
-				failed++
-				_, we := classify(bs.errs[i])
-				out = appendBatchErr(out, batchError{Code: we.Code, Message: we.Message, Index: i})
-				continue
-			}
-			vals := bs.f32s[i]
-			out = append(out, 0)
-			out = binary.LittleEndian.AppendUint32(out, uint32(4*len(vals)))
-			out = wireconv.AppendF32(out, vals)
-		}
-	} else {
-		bs.f64s, bs.errs = szx.DecompressBatch(bs.f64s, bs.errs, bs.views, opt.Workers)
-		sp.End()
-		for i := 0; i < n; i++ {
-			if bs.errs[i] != nil {
-				failed++
-				_, we := classify(bs.errs[i])
-				out = appendBatchErr(out, batchError{Code: we.Code, Message: we.Message, Index: i})
-				continue
-			}
-			vals := bs.f64s[i]
-			out = append(out, 0)
-			out = binary.LittleEndian.AppendUint32(out, uint32(8*len(vals)))
-			out = wireconv.AppendF64(out, vals)
-		}
+	out := wire.AppendHeader(sc.out[:0], len(bs.views))
+	switch {
+	case compress && elemSize == 4:
+		out = compressBatch(rq, out, bs, &sc.f32, &bs.f32s, opt)
+	case compress:
+		out = compressBatch(rq, out, bs, &sc.f64, &bs.f64s, opt)
+	case elemSize == 4:
+		out = decompressBatch(rq, out, bs, &bs.f32s, opt.Workers)
+	default:
+		out = decompressBatch(rq, out, bs, &bs.f64s, opt.Workers)
 	}
 	sc.out = out
-	telemetry.BatchArrayErrors.Add(int64(failed))
 	sp = rq.tr.StartSpan("write_response")
 	writeBinary(w, out)
 	sp.End()
+}
+
+// compressBatch unpacks every aligned array into one flat value buffer
+// (the scratch's flat) and hands the batch API subslice views (arrays),
+// then appends one response entry per array to out. A misaligned array gets
+// a nil view and a bad_request entry, never a whole-batch failure.
+func compressBatch[T szx.Float](rq *reqScope, out []byte, bs *batchScratch, flat *[]T, arrays *[][]T, opt szx.Options) []byte {
+	size := wireconv.Size[T]()
+	sp := rq.tr.StartSpan("unpack_body")
+	total := 0
+	for _, v := range bs.views {
+		total += len(v) / size
+	}
+	*flat = resize(*flat, total)
+	*arrays = resize(*arrays, len(bs.views))
+	off := 0
+	for i, v := range bs.views {
+		if len(v)%size != 0 {
+			(*arrays)[i] = nil
+			continue
+		}
+		arr := (*flat)[off : off+len(v)/size]
+		wireconv.Decode(arr, v)
+		(*arrays)[i] = arr
+		off += len(arr)
+	}
+	sp.End()
+	sp = rq.tr.StartSpan("compress_batch")
+	bs.outs, bs.errs = szx.CompressBatch(bs.outs, bs.errs, *arrays, opt)
+	sp.End()
+	clear(*arrays) // views into the pooled scratch buffer; don't pin it
+
+	for i, v := range bs.views {
+		switch {
+		case len(v)%size != 0:
+			out = appendArrayError(out, i, wire.CodeBadRequest,
+				fmt.Sprintf("array length %d is not a multiple of the %d-byte element size", len(v), size))
+		case bs.errs[i] != nil:
+			out = appendArrayError(out, i, wire.CodeOf(bs.errs[i]), bs.errs[i].Error())
+		default:
+			out = append(wire.AppendResult(out, wire.StatusOK, len(bs.outs[i])), bs.outs[i]...)
+		}
+	}
+	return out
+}
+
+// decompressBatch decodes every stream into the batch's reused value
+// buffers and appends one response entry per array to out.
+func decompressBatch[T szx.Float](rq *reqScope, out []byte, bs *batchScratch, arrays *[][]T, workers int) []byte {
+	sp := rq.tr.StartSpan("decompress_batch")
+	*arrays, bs.errs = szx.DecompressBatch(*arrays, bs.errs, bs.views, workers)
+	sp.End()
+	for i, vals := range *arrays {
+		if err := bs.errs[i]; err != nil {
+			out = appendArrayError(out, i, wire.CodeOf(err), err.Error())
+			continue
+		}
+		out = wireconv.Append(wire.AppendResult(out, wire.StatusOK, len(vals)*wireconv.Size[T]()), vals)
+	}
+	return out
+}
+
+// appendArrayError appends array i's error entry and counts the failure.
+func appendArrayError(out []byte, i int, code, msg string) []byte {
+	telemetry.BatchArrayErrors.Inc()
+	return wire.AppendArrayError(out, wire.ArrayError{Code: code, Message: msg, Index: i})
 }

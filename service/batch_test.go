@@ -3,10 +3,11 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"math"
 	"net/http/httptest"
 	"testing"
+
+	"repro/service/internal/wire"
 )
 
 // batchTestField synthesizes a smooth field (the in-package twin of the
@@ -28,16 +29,6 @@ func batchF32Bytes(v []float32) []byte {
 	return out
 }
 
-// buildBatch frames payloads as an SZXB request body.
-func buildBatch(payloads [][]byte) []byte {
-	out := appendBatchHeader(nil, len(payloads))
-	for _, p := range payloads {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(p)))
-		out = append(out, p...)
-	}
-	return out
-}
-
 func postBatch(srv *Server, path, query string, body []byte) *httptest.ResponseRecorder {
 	u := path
 	if query != "" {
@@ -49,52 +40,25 @@ func postBatch(srv *Server, path, query string, body []byte) *httptest.ResponseR
 	return rr
 }
 
-// batchEntry is one parsed response frame.
-type batchEntry struct {
-	status  byte
-	payload []byte
-}
-
-// parseBatchResp splits an SZXB response body, failing the test on any
-// framing defect.
-func parseBatchResp(t *testing.T, body []byte) []batchEntry {
+// mustParseResponse parses an SZXB response with the client's parser,
+// failing the test on any framing defect.
+func mustParseResponse(t *testing.T, body []byte) []wire.Entry {
 	t.Helper()
-	if len(body) < batchHeaderLen {
-		t.Fatalf("response too short: %d bytes", len(body))
-	}
-	if string(body[:4]) != batchMagic || body[4] != batchVersion {
-		t.Fatalf("bad response envelope: % x", body[:5])
-	}
-	count := int(binary.LittleEndian.Uint32(body[5:9]))
-	entries := make([]batchEntry, 0, count)
-	off := batchHeaderLen
-	for i := 0; i < count; i++ {
-		if len(body)-off < 5 {
-			t.Fatalf("response truncated at entry %d", i)
-		}
-		st := body[off]
-		n := int(binary.LittleEndian.Uint32(body[off+1 : off+5]))
-		off += 5
-		if len(body)-off < n {
-			t.Fatalf("response truncated in entry %d", i)
-		}
-		entries = append(entries, batchEntry{status: st, payload: body[off : off+n]})
-		off += n
-	}
-	if off != len(body) {
-		t.Fatalf("%d trailing response bytes", len(body)-off)
+	entries, err := wire.ParseResponse(nil, body)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return entries
 }
 
-// decodeBatchErr unmarshals a status-1 payload.
-func decodeBatchErr(t *testing.T, payload []byte) batchError {
+// mustArrayError parses a status-1 payload.
+func mustArrayError(t *testing.T, payload []byte) wire.ArrayError {
 	t.Helper()
-	var be batchError
-	if err := json.Unmarshal(payload, &be); err != nil {
-		t.Fatalf("error payload is not JSON: %v (%q)", err, payload)
+	ae, ok := wire.ParseArrayError(payload)
+	if !ok {
+		t.Fatalf("error payload is not an array error: %q", payload)
 	}
-	return be
+	return ae
 }
 
 // TestBatchCompressByteIdentity pins the headline contract at the HTTP
@@ -114,22 +78,22 @@ func TestBatchCompressByteIdentity(t *testing.T) {
 		payloads[i] = batchF32Bytes(a)
 	}
 	const query = "e=0.001"
-	rr := postBatch(srv, "/v1/batch/compress", query, buildBatch(payloads))
+	rr := postBatch(srv, "/v1/batch/compress", query, wire.AppendRequest(nil, payloads))
 	if rr.Code != 200 {
 		t.Fatalf("batch status %d: %s", rr.Code, rr.Body.String())
 	}
-	entries := parseBatchResp(t, rr.Body.Bytes())
+	entries := mustParseResponse(t, rr.Body.Bytes())
 	if len(entries) != len(arrays) {
 		t.Fatalf("%d entries, want %d", len(entries), len(arrays))
 	}
 	for i, e := range entries {
-		if e.status != 0 {
-			t.Fatalf("array %d failed: %s", i, e.payload)
+		if e.Status != 0 {
+			t.Fatalf("array %d failed: %s", i, e.Payload)
 		}
 		if len(arrays[i]) == 0 {
 			// One-shot rejects empty bodies, so an empty array is only
 			// reachable batched; its stream just has to decode to nothing.
-			dec := postBatch(srv, "/v1/decompress", "", e.payload)
+			dec := postBatch(srv, "/v1/decompress", "", e.Payload)
 			if dec.Code != 200 || dec.Body.Len() != 0 {
 				t.Fatalf("empty array: decode status %d, %d bytes", dec.Code, dec.Body.Len())
 			}
@@ -139,9 +103,9 @@ func TestBatchCompressByteIdentity(t *testing.T) {
 		if one.Code != 200 {
 			t.Fatalf("one-shot %d status %d: %s", i, one.Code, one.Body.String())
 		}
-		if !bytes.Equal(e.payload, one.Body.Bytes()) {
+		if !bytes.Equal(e.Payload, one.Body.Bytes()) {
 			t.Fatalf("array %d: batched stream (%d bytes) differs from one-shot (%d bytes)",
-				i, len(e.payload), one.Body.Len())
+				i, len(e.Payload), one.Body.Len())
 		}
 	}
 }
@@ -158,32 +122,32 @@ func TestBatchRoundTrip(t *testing.T) {
 		for i, a := range arrays {
 			payloads[i] = batchF32Bytes(a)
 		}
-		rr := postBatch(srv, "/v1/batch/compress", "e=0.001", buildBatch(payloads))
+		rr := postBatch(srv, "/v1/batch/compress", "e=0.001", wire.AppendRequest(nil, payloads))
 		if rr.Code != 200 {
 			t.Fatalf("compress status %d: %s", rr.Code, rr.Body.String())
 		}
-		comp := parseBatchResp(t, rr.Body.Bytes())
+		comp := mustParseResponse(t, rr.Body.Bytes())
 		comps := make([][]byte, len(comp))
 		for i, e := range comp {
-			if e.status != 0 {
-				t.Fatalf("array %d failed: %s", i, e.payload)
+			if e.Status != 0 {
+				t.Fatalf("array %d failed: %s", i, e.Payload)
 			}
-			comps[i] = e.payload
+			comps[i] = e.Payload
 		}
-		rr = postBatch(srv, "/v1/batch/decompress", "", buildBatch(comps))
+		rr = postBatch(srv, "/v1/batch/decompress", "", wire.AppendRequest(nil, comps))
 		if rr.Code != 200 {
 			t.Fatalf("decompress status %d: %s", rr.Code, rr.Body.String())
 		}
-		dec := parseBatchResp(t, rr.Body.Bytes())
+		dec := mustParseResponse(t, rr.Body.Bytes())
 		for i, e := range dec {
-			if e.status != 0 {
-				t.Fatalf("decompress array %d failed: %s", i, e.payload)
+			if e.Status != 0 {
+				t.Fatalf("decompress array %d failed: %s", i, e.Payload)
 			}
-			if len(e.payload) != 4*len(arrays[i]) {
-				t.Fatalf("array %d: %d bytes back, want %d", i, len(e.payload), 4*len(arrays[i]))
+			if len(e.Payload) != 4*len(arrays[i]) {
+				t.Fatalf("array %d: %d bytes back, want %d", i, len(e.Payload), 4*len(arrays[i]))
 			}
 			for j, want := range arrays[i] {
-				got := math.Float32frombits(binary.LittleEndian.Uint32(e.payload[4*j:]))
+				got := math.Float32frombits(binary.LittleEndian.Uint32(e.Payload[4*j:]))
 				if math.Abs(float64(got)-float64(want)) > 1e-3*1.0001 {
 					t.Fatalf("array %d value %d out of bound: %v vs %v", i, j, got, want)
 				}
@@ -197,14 +161,14 @@ func TestBatchRoundTrip(t *testing.T) {
 func TestBatchEnvelopeRejects(t *testing.T) {
 	srv := New(Config{MaxBatchArrays: 4})
 	for name, body := range map[string][]byte{
-		"empty batch":   appendBatchHeader(nil, 0),
+		"empty batch":   wire.AppendHeader(nil, 0),
 		"bad magic":     append([]byte("NOPE\x01"), 1, 0, 0, 0),
 		"bad version":   append([]byte("SZXB\x09"), 1, 0, 0, 0),
 		"short header":  []byte("SZXB"),
-		"over limit":    buildBatch([][]byte{{1}, {2}, {3}, {4}, {5}}),
-		"truncated len": append(appendBatchHeader(nil, 1), 0xff),
-		"truncated arr": append(appendBatchHeader(nil, 1), 0xff, 0xff, 0xff, 0x7f),
-		"trailing":      append(buildBatch([][]byte{{1, 2, 3, 4}}), 0xEE),
+		"over limit":    wire.AppendRequest(nil, [][]byte{{1}, {2}, {3}, {4}, {5}}),
+		"truncated len": append(wire.AppendHeader(nil, 1), 0xff),
+		"truncated arr": append(wire.AppendHeader(nil, 1), 0xff, 0xff, 0xff, 0x7f),
+		"trailing":      append(wire.AppendRequest(nil, [][]byte{{1, 2, 3, 4}}), 0xEE),
 	} {
 		for _, path := range []string{"/v1/batch/compress", "/v1/batch/decompress"} {
 			rr := postBatch(srv, path, "e=0.001", body)
@@ -239,23 +203,23 @@ func TestBatchPerArrayErrors(t *testing.T) {
 			f64Comp.Body.Bytes(),
 			goodComp.Body.Bytes(),
 		}
-		rr := postBatch(srv, "/v1/batch/decompress", "", buildBatch(comps))
+		rr := postBatch(srv, "/v1/batch/decompress", "", wire.AppendRequest(nil, comps))
 		if rr.Code != 200 {
 			t.Fatalf("batch status %d, want 200: %s", rr.Code, rr.Body.String())
 		}
-		entries := parseBatchResp(t, rr.Body.Bytes())
-		if entries[0].status != 0 || entries[3].status != 0 {
-			t.Fatalf("good arrays failed: %d %d", entries[0].status, entries[3].status)
+		entries := mustParseResponse(t, rr.Body.Bytes())
+		if entries[0].Status != 0 || entries[3].Status != 0 {
+			t.Fatalf("good arrays failed: %d %d", entries[0].Status, entries[3].Status)
 		}
-		be := decodeBatchErr(t, entries[1].payload)
-		if be.Code != codeCorrupt || be.Index != 1 {
+		be := mustArrayError(t, entries[1].Payload)
+		if be.Code != wire.CodeCorrupt || be.Index != 1 {
 			t.Fatalf("array 1: got %+v, want corrupt at index 1", be)
 		}
-		be = decodeBatchErr(t, entries[2].payload)
-		if be.Code != codeWrongType || be.Index != 2 {
+		be = mustArrayError(t, entries[2].Payload)
+		if be.Code != wire.CodeWrongType || be.Index != 2 {
 			t.Fatalf("array 2: got %+v, want wrong_type at index 2", be)
 		}
-		if !bytes.Equal(entries[0].payload, entries[3].payload) {
+		if !bytes.Equal(entries[0].Payload, entries[3].Payload) {
 			t.Fatal("identical good arrays decoded differently")
 		}
 	})
@@ -263,16 +227,16 @@ func TestBatchPerArrayErrors(t *testing.T) {
 	t.Run("compress", func(t *testing.T) {
 		// Array 0 is misaligned (7 bytes of float32 data); array 1 is fine.
 		rr := postBatch(srv, "/v1/batch/compress", "e=0.001",
-			buildBatch([][]byte{make([]byte, 7), batchF32Bytes(good)}))
+			wire.AppendRequest(nil, [][]byte{make([]byte, 7), batchF32Bytes(good)}))
 		if rr.Code != 200 {
 			t.Fatalf("batch status %d, want 200: %s", rr.Code, rr.Body.String())
 		}
-		entries := parseBatchResp(t, rr.Body.Bytes())
-		be := decodeBatchErr(t, entries[0].payload)
-		if be.Code != codeBadRequest || be.Index != 0 {
+		entries := mustParseResponse(t, rr.Body.Bytes())
+		be := mustArrayError(t, entries[0].Payload)
+		if be.Code != wire.CodeBadRequest || be.Index != 0 {
 			t.Fatalf("array 0: got %+v, want bad_request at index 0", be)
 		}
-		if entries[1].status != 0 || !bytes.Equal(entries[1].payload, goodComp.Body.Bytes()) {
+		if entries[1].Status != 0 || !bytes.Equal(entries[1].Payload, goodComp.Body.Bytes()) {
 			t.Fatal("good array after a misaligned one did not compress identically")
 		}
 	})
@@ -287,29 +251,30 @@ func TestBatchOneAdmissionSlot(t *testing.T) {
 	for i := range payloads {
 		payloads[i] = batchF32Bytes(batchTestField(1024, int64(i)))
 	}
-	rr := postBatch(srv, "/v1/batch/compress", "e=0.001", buildBatch(payloads))
+	rr := postBatch(srv, "/v1/batch/compress", "e=0.001", wire.AppendRequest(nil, payloads))
 	if rr.Code != 200 {
 		t.Fatalf("status %d, want 200: %s", rr.Code, rr.Body.String())
 	}
-	for i, e := range parseBatchResp(t, rr.Body.Bytes()) {
-		if e.status != 0 {
-			t.Fatalf("array %d failed under MaxInFlight=1: %s", i, e.payload)
+	for i, e := range mustParseResponse(t, rr.Body.Bytes()) {
+		if e.Status != 0 {
+			t.Fatalf("array %d failed under MaxInFlight=1: %s", i, e.Payload)
 		}
 	}
 }
 
 // FuzzBatchWire throws arbitrary bytes at both batch endpoints. The
-// contract: no panics, never a 5xx, and every 200 carries a well-formed
-// SZXB response whose error entries are positionally labeled.
+// contract: no panics, never a 5xx, and every 200 carries a response the
+// client's parser accepts, one entry per request array, whose error
+// entries are positionally labeled.
 func FuzzBatchWire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("SZXB"))
-	f.Add(appendBatchHeader(nil, 0))
-	f.Add(buildBatch([][]byte{batchF32Bytes(batchTestField(256, 1))}))
-	f.Add(buildBatch([][]byte{make([]byte, 7), batchF32Bytes(batchTestField(16, 2)), {}}))
-	f.Add(buildBatch([][]byte{[]byte("not a stream"), []byte("SZX\x00garbage")}))
-	f.Add(append(appendBatchHeader(nil, 2), 0xff, 0xff, 0xff, 0xff))
-	f.Add(append(buildBatch([][]byte{{1, 2, 3, 4}}), 0x00))
+	f.Add(wire.AppendHeader(nil, 0))
+	f.Add(wire.AppendRequest(nil, [][]byte{batchF32Bytes(batchTestField(256, 1))}))
+	f.Add(wire.AppendRequest(nil, [][]byte{make([]byte, 7), batchF32Bytes(batchTestField(16, 2)), {}}))
+	f.Add(wire.AppendRequest(nil, [][]byte{[]byte("not a stream"), []byte("SZX\x00garbage")}))
+	f.Add(append(wire.AppendHeader(nil, 2), 0xff, 0xff, 0xff, 0xff))
+	f.Add(append(wire.AppendRequest(nil, [][]byte{{1, 2, 3, 4}}), 0x00))
 	srv := New(Config{MaxBodyBytes: 1 << 22, MaxBatchArrays: 128})
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		for _, path := range []string{"/v1/batch/compress", "/v1/batch/decompress"} {
@@ -320,35 +285,28 @@ func FuzzBatchWire(f *testing.F) {
 			if rr.Code != 200 {
 				continue
 			}
-			body := rr.Body.Bytes()
-			if len(body) < batchHeaderLen || string(body[:4]) != batchMagic {
-				t.Fatalf("%s: 200 with malformed response envelope", path)
+			views, err := wire.ParseRequest(nil, blob, 128)
+			if err != nil {
+				t.Fatalf("%s: 200 for a request the server's parser rejects: %v", path, err)
 			}
-			count := int(binary.LittleEndian.Uint32(body[5:9]))
-			off := batchHeaderLen
-			for i := 0; i < count; i++ {
-				if len(body)-off < 5 {
-					t.Fatalf("%s: 200 response truncated at entry %d", path, i)
-				}
-				st := body[off]
-				n := int(binary.LittleEndian.Uint32(body[off+1 : off+5]))
-				off += 5
-				if st > 1 || len(body)-off < n {
-					t.Fatalf("%s: bad entry %d (status %d, len %d)", path, i, st, n)
-				}
-				if st == 1 {
-					var be batchError
-					if err := json.Unmarshal(body[off:off+n], &be); err != nil {
-						t.Fatalf("%s: entry %d error payload not JSON: %v", path, i, err)
-					}
-					if be.Index != i {
-						t.Fatalf("%s: entry %d error labeled index %d", path, i, be.Index)
-					}
-				}
-				off += n
+			entries, err := wire.ParseResponse(nil, rr.Body.Bytes())
+			if err != nil {
+				t.Fatalf("%s: 200 with a malformed response: %v", path, err)
 			}
-			if off != len(body) {
-				t.Fatalf("%s: %d trailing bytes in 200 response", path, len(body)-off)
+			if len(entries) != len(views) {
+				t.Fatalf("%s: %d response entries for %d arrays", path, len(entries), len(views))
+			}
+			for i, e := range entries {
+				if e.Status != wire.StatusError {
+					continue
+				}
+				ae, ok := wire.ParseArrayError(e.Payload)
+				if !ok {
+					t.Fatalf("%s: entry %d error payload is not an array error: %q", path, i, e.Payload)
+				}
+				if ae.Index != i {
+					t.Fatalf("%s: entry %d error labeled index %d", path, i, ae.Index)
+				}
 			}
 		}
 	})

@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	szx "repro"
+	"repro/internal/wireconv"
 )
 
 func putF32(b []byte, v float32) { binary.LittleEndian.PutUint32(b, math.Float32bits(v)) }
@@ -56,7 +60,7 @@ func BenchmarkPooledCompressPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc.f32 = bytesToF32(sc.f32, body)
+		sc.f32 = wireconv.F32(sc.f32, body)
 		sc.c32.SetOptions(opt)
 		if _, err := sc.c32.Compress(sc.f32); err != nil {
 			b.Fatal(err)
@@ -74,7 +78,7 @@ func BenchmarkPooledCompressPath(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		sc.f32 = bytesToF32(sc.f32, body)
+		sc.f32 = wireconv.F32(sc.f32, body)
 		sc.c32.SetOptions(opt)
 		if _, err := sc.c32.Compress(sc.f32); err != nil {
 			b.Fatal(err)
@@ -134,35 +138,98 @@ func BenchmarkPooledDecompressPath(b *testing.B) {
 }
 
 // TestPooledPathZeroAllocs is the gating form of the benchmarks above:
-// after one warm pass, the pooled compress path must not allocate.
+// after one warm pass, the pooled compress path must allocate nothing AND
+// stay inside its size class — the two properties the size-classed pool
+// exists for.
 func TestPooledPathZeroAllocs(t *testing.T) {
-	vals := make([]float32, 16*1024)
-	for i := range vals {
-		vals[i] = float32(i % 31)
-	}
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putF32(raw[4*i:], v)
-	}
-	rd := bytes.NewReader(raw)
-	opt := szx.Options{ErrorBound: 1e-3}
-	sc := getScratch(int64(len(raw))) // hold one scratch so the pool can't evict it mid-test
-	defer putScratch(sc)
+	for _, tc := range []struct {
+		name  string
+		n     int     // float32 values in the body
+		scale float32 // data shape
+	}{
+		{"16KiB", 4 * 1024, 0.25},
+		{"64KiB", 16 * 1024, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			raw := make([]byte, 4*tc.n)
+			for i := range tc.n {
+				putF32(raw[4*i:], float32(i%31)*tc.scale)
+			}
+			rd := bytes.NewReader(raw)
+			opt := szx.Options{ErrorBound: 1e-3}
+			sc := getScratch(int64(len(raw))) // hold it so the pool can't evict it mid-test
+			defer putScratch(sc)
 
-	run := func() {
-		rd.Reset(raw)
-		body, err := sc.readBody(rd, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.f32 = bytesToF32(sc.f32, body)
-		sc.c32.SetOptions(opt)
-		if _, err := sc.c32.Compress(sc.f32); err != nil {
-			t.Fatal(err)
-		}
+			run := func() {
+				rd.Reset(raw)
+				body, err := sc.readBody(rd, 1<<30)
+				if err != nil {
+					t.Fatal(err)
+				}
+				sc.f32 = wireconv.F32(sc.f32, body)
+				sc.c32.SetOptions(opt)
+				if _, err := sc.c32.Compress(sc.f32); err != nil {
+					t.Fatal(err)
+				}
+			}
+			run() // warm the buffers
+			if n := testing.AllocsPerRun(20, run); n > 0 {
+				t.Fatalf("pooled compress path allocates %.1f times per request; want 0", n)
+			}
+			if cap(sc.raw) > scratchClassSizes[classForSize(int64(len(raw)))] {
+				t.Fatalf("%d-byte requests grew the body buffer to %d bytes", len(raw), cap(sc.raw))
+			}
+		})
 	}
-	run() // warm the buffers
-	if n := testing.AllocsPerRun(20, run); n > 0 {
-		t.Fatalf("pooled compress path allocates %.1f times per request; want 0", n)
+}
+
+// discardWriter is a ResponseWriter that keeps nothing, so the handler's
+// own allocations are all a measurement sees.
+type discardWriter struct{ h http.Header }
+
+func (d *discardWriter) Header() http.Header         { return d.h }
+func (d *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (d *discardWriter) WriteHeader(int)             {}
+
+// rewindBody is a request body the test can replay without reallocating.
+type rewindBody struct{ *bytes.Reader }
+
+func (rewindBody) Close() error { return nil }
+
+// TestHandlerScratchReuse drives warm requests through Handler().ServeHTTP
+// at every scratch class size, one byte under and one byte over: each must
+// find its scratch back in the pool it was leased from. A scratch rebuild
+// (buffers plus two Codecs) costs more than the 4 KiB budget at every
+// class. GOMAXPROCS is pinned to 1 because sync.Pool's per-P caches miss
+// when the goroutine moves between Ps.
+func TestHandlerScratchReuse(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	h := New(Config{DisableTracing: true}).Handler()
+	w := &discardWriter{h: http.Header{}}
+	for _, size := range scratchClassSizes {
+		for _, n := range []int{size - 1, size, size + 1} {
+			raw := make([]byte, n)
+			body := rewindBody{bytes.NewReader(raw)}
+			req := httptest.NewRequest("POST", "/v1/compress?e=1e-3", body)
+			req.ContentLength = int64(n)
+			serve := func() {
+				body.Reset(raw)
+				h.ServeHTTP(w, req)
+			}
+			serve() // warm this size's pool
+			const runs = 8
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				serve()
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+				t.Errorf("%d-byte body: %d bytes allocated per warm request, want at most 4096", n, per)
+			}
+		}
 	}
 }

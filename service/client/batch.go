@@ -1,39 +1,22 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/wireconv"
+	"repro/service/internal/wire"
 )
 
 // Batch support: CompressBatch/DecompressBatch pack many arrays into one
-// /v1/batch request (SZXB framing, mirrored from the service — the client
-// deliberately does not import the server package).
+// SZXB-framed /v1/batch request.
 
-const (
-	batchMagic     = "SZXB"
-	batchVersion   = 1
-	batchHeaderLen = len(batchMagic) + 1 + 4
-)
-
-// ArrayError is one array's failure inside an otherwise successful batch.
-// It unwraps to the szx sentinels exactly as *Error does, so errors.Is
-// works whether a decode failed one-shot or batched.
-type ArrayError struct {
-	Index   int    // position in the request batch
-	Code    string // wire error code ("corrupt", "wrong_type", ...)
-	Message string
-}
-
-func (e *ArrayError) Error() string {
-	return fmt.Sprintf("szxd: array %d: %s (%s)", e.Index, e.Message, e.Code)
-}
-
-func (e *ArrayError) Unwrap() error { return sentinelFor(e.Code) }
+// ArrayError is one array's failure inside an otherwise successful batch:
+// its Index in the request batch, its wire Code ("corrupt", "wrong_type",
+// ...) and the server's Message. It unwraps to the szx sentinels exactly as
+// *Error does, so errors.Is works whether a decode failed one-shot or
+// batched.
+type ArrayError = wire.ArrayError
 
 // BatchResult is one array's outcome from CompressBatch: the compressed
 // stream, or the per-array error (*ArrayError).
@@ -48,93 +31,33 @@ type BatchValues struct {
 	Err    error
 }
 
-// appendFrame appends one length-prefixed array payload.
-func appendFrame(out, payload []byte) []byte {
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...)
-}
-
-// stageBatch builds an SZXB request body from pre-encoded payloads.
-func stageBatch(payloads [][]byte) *bytes.Buffer {
-	size := batchHeaderLen
-	for _, p := range payloads {
-		size += 4 + len(p)
-	}
-	b := getBody()
-	b.Grow(size)
-	buf := b.AvailableBuffer()
-	buf = append(buf, batchMagic...)
-	buf = append(buf, batchVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payloads)))
-	for _, p := range payloads {
-		buf = appendFrame(buf, p)
-	}
-	b.Write(buf)
-	return b
-}
-
-// parseBatchResponse splits an SZXB response into per-array (payload, err)
-// pairs, invoking fn for each.
-func parseBatchResponse(body []byte, want int, fn func(i int, payload []byte, err error)) error {
-	if len(body) < batchHeaderLen || string(body[:4]) != batchMagic || body[4] != batchVersion {
-		return fmt.Errorf("szxd: malformed batch response (%d bytes)", len(body))
-	}
-	count := int(binary.LittleEndian.Uint32(body[5:9]))
-	if count != want {
-		return fmt.Errorf("szxd: batch response carries %d arrays, want %d", count, want)
-	}
-	off := batchHeaderLen
-	for i := 0; i < count; i++ {
-		if len(body)-off < 5 {
-			return fmt.Errorf("szxd: batch response truncated at array %d", i)
-		}
-		status := body[off]
-		n := int(binary.LittleEndian.Uint32(body[off+1 : off+5]))
-		off += 5
-		if len(body)-off < n {
-			return fmt.Errorf("szxd: batch response truncated in array %d", i)
-		}
-		payload := body[off : off+n]
-		off += n
-		switch status {
-		case 0:
-			fn(i, payload, nil)
-		case 1:
-			ae := &ArrayError{Index: i, Code: "internal"}
-			var we struct {
-				Code    string `json:"code"`
-				Message string `json:"error"`
-				Index   int    `json:"index"`
-			}
-			if json.Unmarshal(payload, &we) == nil && we.Code != "" {
-				ae.Code, ae.Message = we.Code, we.Message
-			} else {
-				ae.Message = string(payload)
-			}
-			fn(i, nil, ae)
-		default:
-			return fmt.Errorf("szxd: batch response array %d has unknown status %d", i, status)
-		}
-	}
-	return nil
-}
-
-// postBatch runs one framed batch request and hands the response frames to
-// fn. A returned error condemns the whole batch (per-array failures arrive
-// through fn instead).
-func (c *Client) postBatch(ctx context.Context, path, rawQuery string, payloads [][]byte, fn func(i int, payload []byte, err error)) error {
-	body := stageBatch(payloads)
-	defer putBody(body)
-	resp, err := c.post(ctx, path, rawQuery, bytes.NewReader(body.Bytes()))
+// postBatch sends a framed batch staged in a pooled buffer and returns the
+// response entries, one per array. A returned error condemns the whole
+// batch; per-array failures arrive as wire.StatusError entries.
+func (c *Client) postBatch(ctx context.Context, path, rawQuery string, staged *[]byte, arrays int) ([]wire.Entry, error) {
+	raw, err := c.do(ctx, path, rawQuery, *staged, staged)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	defer resp.Body.Close()
-	raw, err := readBody(resp)
+	entries, err := wire.ParseResponse(nil, raw)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("szxd: malformed batch response: %w", err)
 	}
-	return parseBatchResponse(raw, len(payloads), fn)
+	if len(entries) != arrays {
+		return nil, fmt.Errorf("szxd: batch response carries %d arrays, want %d", len(entries), arrays)
+	}
+	return entries, nil
+}
+
+// arrayError reads array i's error entry, tolerating a payload that is not
+// the JSON the server writes.
+func arrayError(i int, payload []byte) error {
+	ae, ok := wire.ParseArrayError(payload)
+	if !ok {
+		ae = wire.ArrayError{Code: wire.CodeInternal, Message: string(payload)}
+	}
+	ae.Index = i
+	return &ae
 }
 
 // CompressBatch compresses many float32 arrays in one request. The server
@@ -144,32 +67,23 @@ func (c *Client) postBatch(ctx context.Context, path, rawQuery string, payloads 
 // failed array never fails its neighbours. A non-nil returned error means
 // the whole request failed and there are no results.
 func (c *Client) CompressBatch(ctx context.Context, arrays [][]float32, p Params) ([]BatchResult, error) {
-	payloads := make([][]byte, len(arrays))
-	stage := getBody()
-	defer putBody(stage)
-	total := 0
+	staged := bodyPool.Get().(*[]byte)
+	buf := wire.AppendHeader((*staged)[:0], len(arrays))
 	for _, a := range arrays {
-		total += 4 * len(a)
+		buf = wireconv.AppendF32(wire.AppendArray(buf, 4*len(a)), a)
 	}
-	stage.Grow(total)
-	buf := stage.AvailableBuffer()
-	for i, a := range arrays {
-		start := len(buf)
-		buf = wireconv.AppendF32(buf, a)
-		payloads[i] = buf[start:len(buf):len(buf)]
-	}
-	stage.Write(buf)
-
-	results := make([]BatchResult, len(arrays))
-	err := c.postBatch(ctx, "/v1/batch/compress", p.queryString("f32"), payloads, func(i int, payload []byte, aerr error) {
-		if aerr != nil {
-			results[i].Err = aerr
-			return
-		}
-		results[i].Comp = append([]byte(nil), payload...)
-	})
+	*staged = buf
+	entries, err := c.postBatch(ctx, "/v1/batch/compress", queryString(p, wire.ElemF32), staged, len(arrays))
 	if err != nil {
 		return nil, err
+	}
+	results := make([]BatchResult, len(entries))
+	for i, e := range entries {
+		if e.Status == wire.StatusError {
+			results[i].Err = arrayError(i, e.Payload)
+			continue
+		}
+		results[i].Comp = append([]byte(nil), e.Payload...)
 	}
 	return results, nil
 }
@@ -178,20 +92,22 @@ func (c *Client) CompressBatch(ctx context.Context, arrays [][]float32, p Params
 // Params.Workers is meaningful here; the zero value lets the server pick
 // its own batch-wide parallelism.
 func (c *Client) DecompressBatch(ctx context.Context, comps [][]byte, p Params) ([]BatchValues, error) {
-	results := make([]BatchValues, len(comps))
-	err := c.postBatch(ctx, "/v1/batch/decompress", p.queryString("f32"), comps, func(i int, payload []byte, aerr error) {
-		if aerr != nil {
-			results[i].Err = aerr
-			return
-		}
-		if len(payload)%4 != 0 {
-			results[i].Err = fmt.Errorf("szxd: array %d: truncated response (%d bytes)", i, len(payload))
-			return
-		}
-		results[i].Values = bytesToF32(payload)
-	})
+	staged := bodyPool.Get().(*[]byte)
+	*staged = wire.AppendRequest((*staged)[:0], comps)
+	entries, err := c.postBatch(ctx, "/v1/batch/decompress", queryString(p, wire.ElemF32), staged, len(comps))
 	if err != nil {
 		return nil, err
+	}
+	results := make([]BatchValues, len(entries))
+	for i, e := range entries {
+		switch {
+		case e.Status == wire.StatusError:
+			results[i].Err = arrayError(i, e.Payload)
+		case len(e.Payload)%4 != 0:
+			results[i].Err = fmt.Errorf("szxd: array %d: truncated response (%d bytes)", i, len(e.Payload))
+		default:
+			results[i].Values = wireconv.F32(nil, e.Payload)
+		}
 	}
 	return results, nil
 }

@@ -1,5 +1,5 @@
 // Package client is the Go client for the szxd compression service. It
-// mirrors the in-process szx API shape — Compress/Decompress on value
+// follows the in-process szx API shape — Compress/Decompress on value
 // slices, streaming variants on readers — over the service's HTTP wire
 // protocol, with connection reuse and typed errors that unwrap to the
 // same szx sentinels callers already match against.
@@ -8,68 +8,33 @@ package client
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/url"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	szx "repro"
 	"repro/internal/wireconv"
+	"repro/service/internal/wire"
 	"repro/telemetry/trace"
 )
 
-// traceIDHeader mirrors service.TraceIDHeader (the client deliberately
-// does not import the server package).
-const traceIDHeader = "Szx-Trace-Id"
+// Params selects compression options for a request; it is the wire form of
+// szx.Options. A zero field means the server's default. Any other invalid
+// value fails with a 400, as the same szx.Options fail in-process.
+type Params = wire.Params
 
-// Params selects compression options for a request; the zero value uses
-// the server's defaults. It is the wire form of szx.Options.
-type Params struct {
-	ErrorBound  float64  // 0 = server default
-	TargetRatio float64  // fixed-ratio mode; mutually exclusive with ErrorBound
-	Mode        szx.Mode // BoundAbsolute or BoundRelative
-	BlockSize   int      // 0 = server default
-	Workers     int      // 0 = serial, -1 = server max, else capped by server
-}
-
-func (p Params) query(elem string) url.Values {
-	q := url.Values{}
-	if elem != "" {
-		q.Set("t", elem)
-	}
-	if p.ErrorBound > 0 {
-		q.Set("e", strconv.FormatFloat(p.ErrorBound, 'g', -1, 64))
-	}
-	if p.TargetRatio > 0 {
-		q.Set("ratio", strconv.FormatFloat(p.TargetRatio, 'g', -1, 64))
-	}
-	if p.Mode == szx.BoundRelative {
-		q.Set("mode", "rel")
-	}
-	if p.BlockSize > 0 {
-		q.Set("block", strconv.Itoa(p.BlockSize))
-	}
-	if p.Workers != 0 {
-		q.Set("workers", strconv.Itoa(p.Workers))
-	}
-	return q
-}
-
-// queryString is the encoded form of query(elem), cached: Params is
-// comparable and a process uses a handful of distinct parameter sets over
-// millions of calls, so encoding each set once removes a url.Values
+// queryString is p's query string for element type elem, cached: Params
+// is comparable and a process uses a handful of distinct parameter sets
+// over millions of calls, so encoding each set once removes a url.Values
 // allocation (and its string building) from every request.
-func (p Params) queryString(elem string) string {
+func queryString(p Params, elem string) string {
 	k := queryKey{p: p, elem: elem}
 	if v, ok := queryCache.Load(k); ok {
 		return v.(string)
 	}
-	s := p.query(elem).Encode()
+	s := p.Encode(elem)
 	queryCache.Store(k, s)
 	return s
 }
@@ -145,39 +110,19 @@ func (e *Error) Retryable() bool {
 }
 
 // Unwrap exposes the szx sentinel matching the wire code, if any.
-func (e *Error) Unwrap() error { return sentinelFor(e.Code) }
-
-// sentinelFor maps a wire error code to the matching szx sentinel; request
-// level (*Error) and per-array (*ArrayError) failures share the mapping.
-func sentinelFor(code string) error {
-	switch code {
-	case "corrupt":
-		return szx.ErrCorrupt
-	case "wrong_type":
-		return szx.ErrWrongType
-	case "bad_options":
-		return szx.ErrBadOptions
-	}
-	return nil
-}
+func (e *Error) Unwrap() error { return wire.Sentinel(e.Code) }
 
 // decodeError turns a non-2xx response into an *Error, tolerating
 // non-JSON bodies from intermediaries.
 func decodeError(resp *http.Response) error {
-	e := &Error{Status: resp.StatusCode, Code: "internal", TraceID: resp.Header.Get(traceIDHeader)}
-	if ra := resp.Header.Get("Retry-After"); ra != "" {
-		if secs, err := strconv.Atoi(ra); err == nil {
-			e.RetryAfter = time.Duration(secs) * time.Second
-		}
+	e := &Error{
+		Status:     resp.StatusCode,
+		Code:       wire.CodeInternal,
+		RetryAfter: wire.ParseRetryAfter(resp.Header.Get(wire.RetryAfterHeader)),
+		TraceID:    resp.Header.Get(wire.TraceIDHeader),
 	}
 	body, _ := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
-	var we struct {
-		Code    string `json:"code"`
-		Message string `json:"error"`
-		Frame   int    `json:"frame"`
-		Offset  int64  `json:"offset"`
-	}
-	if json.Unmarshal(body, &we) == nil && we.Code != "" {
+	if we, ok := wire.ParseError(body); ok {
 		e.Code, e.Message, e.Frame, e.Offset = we.Code, we.Message, we.Frame, we.Offset
 	} else {
 		e.Message = strings.TrimSpace(string(body))
@@ -199,26 +144,10 @@ var headerPool = sync.Pool{New: func() any {
 	return h
 }}
 
-// bodyPool recycles staging buffers for small request bodies, so a warm
-// client encodes its floats into reused capacity instead of allocating a
-// fresh slice per call.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-func getBody() *bytes.Buffer  { b := bodyPool.Get().(*bytes.Buffer); b.Reset(); return b }
-func putBody(b *bytes.Buffer) { bodyPool.Put(b) }
-func stageF32(vals []float32) *bytes.Buffer {
-	b := getBody()
-	b.Grow(4 * len(vals))
-	b.Write(wireconv.AppendF32(b.AvailableBuffer(), vals))
-	return b
-}
-
-func stageF64(vals []float64) *bytes.Buffer {
-	b := getBody()
-	b.Grow(8 * len(vals))
-	b.Write(wireconv.AppendF64(b.AvailableBuffer(), vals))
-	return b
-}
+// bodyPool recycles staging buffers for request bodies, so a warm client
+// encodes its floats into reused capacity instead of allocating a fresh
+// slice per call.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPresize caps how much of a response's Content-Length readBody
 // allocates before any bytes arrive. An 8 MiB payload still lands in one
@@ -241,55 +170,116 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// post sends one data-plane request. With WithRetry configured and a
-// replayable body, shed responses (429/503) and transport failures are
-// retried with jittered backoff, honoring Retry-After and the context
-// deadline; streaming bodies get exactly one attempt.
-func (c *Client) post(ctx context.Context, path, rawQuery string, body io.Reader) (*http.Response, error) {
-	if c.retry == nil || !rewindable(body) {
-		return c.postOnce(ctx, path, rawQuery, body)
+// reqBody is one attempt's in-memory request body. An http.RoundTripper
+// may keep reading a request body after Do returns, until it calls Close,
+// so the bytes behind it are reused only once closed is.
+type reqBody struct {
+	bytes.Reader
+	closed chan struct{}
+	once   sync.Once
+}
+
+func (b *reqBody) Close() error {
+	b.once.Do(func() { close(b.closed) })
+	return nil
+}
+
+// do posts an in-memory payload and returns the whole response body. With
+// WithRetry configured, shed responses (429/503) and transport failures
+// are retried with jittered backoff, honoring Retry-After and the context
+// deadline. Each attempt sends its own reader, and do returns or retries
+// only once the transport has closed it, so the caller may reuse payload;
+// staged, if not nil, holds payload and goes back to bodyPool then. If ctx
+// ends first the transport may still be reading, and staged is dropped.
+func (c *Client) do(ctx context.Context, path, rawQuery string, payload []byte, staged *[]byte) ([]byte, error) {
+	p := RetryPolicy{MaxAttempts: 1}
+	if c.retry != nil {
+		p = *c.retry
 	}
-	p := *c.retry
 	for attempt := 1; ; attempt++ {
-		resp, err := c.postOnce(ctx, path, rawQuery, body)
-		if err == nil || attempt >= p.MaxAttempts || !IsRetryable(err) {
-			return resp, err
+		out, released, err := c.attempt(ctx, path, rawQuery, payload)
+		if !released {
+			return out, err
 		}
-		if s, ok := body.(io.Seeker); ok {
-			if _, serr := s.Seek(0, io.SeekStart); serr != nil {
-				return nil, err
+		// A deadline or cancellation during backoff returns the shed error,
+		// not the sleep's: it is the informative one.
+		retry := err != nil && attempt < p.MaxAttempts && IsRetryable(err)
+		if !retry || sleepRetry(ctx, retryDelay(p, attempt, retryAfterOf(err))) != nil {
+			if staged != nil {
+				bodyPool.Put(staged)
 			}
-		}
-		if serr := sleepRetry(ctx, retryDelay(p, attempt, retryAfterOf(err))); serr != nil {
-			// Deadline or cancellation during backoff: the shed error, not
-			// the sleep's, is the informative one.
-			return nil, err
+			return out, err
 		}
 	}
 }
 
-func (c *Client) postOnce(ctx context.Context, path, rawQuery string, body io.Reader) (*http.Response, error) {
+// attempt sends payload once and reads the whole response. released
+// reports that the transport closed the request body before ctx ended.
+func (c *Client) attempt(ctx context.Context, path, rawQuery string, payload []byte) (out []byte, released bool, err error) {
+	req, err := c.newRequest(ctx, path, rawQuery, nil)
+	if err != nil {
+		return nil, true, err
+	}
+	var body *reqBody
+	if len(payload) > 0 {
+		body = &reqBody{closed: make(chan struct{})}
+		body.Reset(payload)
+		req.Body, req.ContentLength = body, int64(len(payload))
+	}
+	resp, err := c.send(req)
+	if err == nil {
+		out, err = readBody(resp)
+		resp.Body.Close()
+	}
+	if body == nil {
+		return out, true, err
+	}
+	select {
+	case <-body.closed:
+		return out, true, err
+	case <-ctx.Done():
+		return out, false, err
+	}
+}
+
+// stream posts a streaming body: one attempt, since the body is consumed as
+// it goes, and no wait for the transport, since both directions flow at
+// once.
+func (c *Client) stream(ctx context.Context, path, rawQuery string, r io.Reader) (io.ReadCloser, error) {
+	req, err := c.newRequest(ctx, path, rawQuery, r)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.send(req)
+	if err != nil {
+		return nil, err
+	}
+	return resp.Body, nil
+}
+
+func (c *Client) newRequest(ctx context.Context, path, rawQuery string, body io.Reader) (*http.Request, error) {
 	u := c.base + path
 	if rawQuery != "" {
 		u += "?" + rawQuery
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, body)
-	if err != nil {
-		return nil, err
-	}
+	return http.NewRequestWithContext(ctx, http.MethodPost, u, body)
+}
+
+// send runs one request; a nil error means a 200 response.
+func (c *Client) send(req *http.Request) (*http.Response, error) {
 	h := headerPool.Get().(http.Header)
 	req.Header = h
 	// A trace travelling in ctx rides the wire as a traceparent header, so
 	// the server adopts the caller's trace ID and the round trip shows up
 	// on the caller's trace as one client-side span.
-	tr := trace.FromContext(ctx)
+	tr := trace.FromContext(req.Context())
 	if tr != nil {
-		h.Set("Traceparent", tr.Traceparent())
+		h.Set(wire.TraceparentHeader, tr.Traceparent())
 	}
-	sp := tr.StartSpan("client:" + strings.TrimPrefix(path, "/v1/"))
+	sp := tr.StartSpan("client:" + strings.TrimPrefix(req.URL.Path, "/v1/"))
 	resp, err := c.hc.Do(req)
 	sp.End()
-	h.Del("Traceparent")
+	h.Del(wire.TraceparentHeader)
 	headerPool.Put(h)
 	if err != nil {
 		return nil, err
@@ -301,63 +291,44 @@ func (c *Client) postOnce(ctx context.Context, path, rawQuery string, body io.Re
 	return resp, nil
 }
 
-// Compress sends vals to the service and returns the SZx stream.
-func (c *Client) Compress(ctx context.Context, vals []float32, p Params) ([]byte, error) {
-	body := stageF32(vals)
-	defer putBody(body)
-	resp, err := c.post(ctx, "/v1/compress", p.queryString("f32"), bytes.NewReader(body.Bytes()))
+// compress stages vals in a pooled buffer and sends them.
+func compress[T wireconv.Float](ctx context.Context, c *Client, vals []T, elem string, p Params) ([]byte, error) {
+	staged := bodyPool.Get().(*[]byte)
+	*staged = wireconv.Append((*staged)[:0], vals)
+	return c.do(ctx, "/v1/compress", queryString(p, elem), *staged, staged)
+}
+
+// decompress sends a compressed stream and decodes the values back.
+func decompress[T wireconv.Float](ctx context.Context, c *Client, comp []byte) ([]T, error) {
+	raw, err := c.do(ctx, "/v1/decompress", "", comp, nil)
 	if err != nil {
 		return nil, err
 	}
-	defer resp.Body.Close()
-	return readBody(resp)
+	if len(raw)%wireconv.Size[T]() != 0 {
+		return nil, fmt.Errorf("szxd: truncated response (%d bytes)", len(raw))
+	}
+	return wireconv.Values[T](nil, raw), nil
+}
+
+// Compress sends vals to the service and returns the SZx stream.
+func (c *Client) Compress(ctx context.Context, vals []float32, p Params) ([]byte, error) {
+	return compress(ctx, c, vals, wire.ElemF32, p)
 }
 
 // CompressFloat64 is Compress for float64 payloads.
 func (c *Client) CompressFloat64(ctx context.Context, vals []float64, p Params) ([]byte, error) {
-	body := stageF64(vals)
-	defer putBody(body)
-	resp, err := c.post(ctx, "/v1/compress", p.queryString("f64"), bytes.NewReader(body.Bytes()))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	return readBody(resp)
+	return compress(ctx, c, vals, wire.ElemF64, p)
 }
 
 // Decompress sends a compressed stream (single SZx stream or SZXS
 // container, the server auto-detects) and returns the float32 values.
 func (c *Client) Decompress(ctx context.Context, comp []byte) ([]float32, error) {
-	resp, err := c.post(ctx, "/v1/decompress", "", bytes.NewReader(comp))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%4 != 0 {
-		return nil, fmt.Errorf("szxd: truncated response (%d bytes)", len(raw))
-	}
-	return bytesToF32(raw), nil
+	return decompress[float32](ctx, c, comp)
 }
 
 // DecompressFloat64 is Decompress for float64 streams.
 func (c *Client) DecompressFloat64(ctx context.Context, comp []byte) ([]float64, error) {
-	resp, err := c.post(ctx, "/v1/decompress", "", bytes.NewReader(comp))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := readBody(resp)
-	if err != nil {
-		return nil, err
-	}
-	if len(raw)%8 != 0 {
-		return nil, fmt.Errorf("szxd: truncated response (%d bytes)", len(raw))
-	}
-	return bytesToF64(raw), nil
+	return decompress[float64](ctx, c, comp)
 }
 
 // StreamCompress uploads raw little-endian float32 bytes from r and
@@ -365,11 +336,7 @@ func (c *Client) DecompressFloat64(ctx context.Context, comp []byte) ([]float64,
 // directions stream: neither side buffers the whole payload. The caller
 // must Close the returned reader.
 func (c *Client) StreamCompress(ctx context.Context, r io.Reader, p Params) (io.ReadCloser, error) {
-	resp, err := c.post(ctx, "/v1/stream/compress", p.queryString(""), r)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.stream(ctx, "/v1/stream/compress", queryString(p, ""), r)
 }
 
 // StreamDecompress uploads an SZXS container from r and returns a reader
@@ -377,11 +344,7 @@ func (c *Client) StreamCompress(ctx context.Context, r io.Reader, p Params) (io.
 // returned reader; a server-side mid-stream failure surfaces as a
 // truncated body.
 func (c *Client) StreamDecompress(ctx context.Context, r io.Reader) (io.ReadCloser, error) {
-	resp, err := c.post(ctx, "/v1/stream/decompress", "", r)
-	if err != nil {
-		return nil, err
-	}
-	return resp.Body, nil
+	return c.stream(ctx, "/v1/stream/decompress", "", r)
 }
 
 // Ready probes /readyz; nil means the instance is accepting work (not
@@ -401,7 +364,3 @@ func (c *Client) Ready(ctx context.Context) error {
 	}
 	return nil
 }
-
-func bytesToF32(b []byte) []float32 { return wireconv.F32(nil, b) }
-
-func bytesToF64(b []byte) []float64 { return wireconv.F64(nil, b) }

@@ -3,7 +3,6 @@ package client
 import (
 	"context"
 	"errors"
-	"io"
 	"math/rand/v2"
 	"net/url"
 	"time"
@@ -112,14 +111,4 @@ func retryAfterOf(err error) time.Duration {
 		return se.RetryAfter
 	}
 	return 0
-}
-
-// rewindable reports whether body can be replayed for another attempt
-// (nil bodies and seekers — bytes.Reader in every non-streaming call).
-func rewindable(body io.Reader) bool {
-	if body == nil {
-		return true
-	}
-	_, ok := body.(io.Seeker)
-	return ok
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/service/cluster"
+	"repro/service/internal/wire"
 	"repro/telemetry"
 )
 
@@ -45,9 +46,9 @@ func (s *Server) handleClusterInfo(w http.ResponseWriter, _ *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	if info.Draining {
-		// Mirror the readyz drain hint so pollers that only look at this
+		// The same drain hint as readyz, so pollers that only look at this
 		// endpoint still learn when to back off.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.QueueWait))
+		w.Header().Set(wire.RetryAfterHeader, wire.FormatRetryAfter(s.cfg.QueueWait))
 	}
 	_ = json.NewEncoder(w).Encode(info)
 }

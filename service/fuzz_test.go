@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/service/internal/wire"
 )
 
 // loadStreamReaderCorpus parses the FuzzStreamReader seed corpus (Go fuzz
@@ -126,9 +128,9 @@ func TestClassifyStatuses(t *testing.T) {
 		status int
 		code   string
 	}{
-		{[]byte("garbage that is not a stream"), 400, codeCorrupt},
-		{[]byte("SZXS\x01\xff\xff\xff\xff"), 400, codeCorrupt},
-		{nil, 400, codeBadRequest},
+		{[]byte("garbage that is not a stream"), 400, wire.CodeCorrupt},
+		{[]byte("SZXS\x01\xff\xff\xff\xff"), 400, wire.CodeCorrupt},
+		{nil, 400, wire.CodeBadRequest},
 	} {
 		rr := postDecompress(srv, tc.body)
 		if rr.Code != tc.status {

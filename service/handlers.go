@@ -3,114 +3,78 @@ package service
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/url"
 	"strconv"
 
 	szx "repro"
 	"repro/internal/wireconv"
+	"repro/service/internal/wire"
 	"repro/telemetry"
-	"repro/telemetry/trace"
 )
 
 const contentTypeBinary = "application/octet-stream"
 
 // parseOptions maps the query string onto szx.Options plus the element
-// width. Recognized keys: t (f32|f64), e (error bound), ratio (fixed-ratio
-// target, mutually exclusive with e), mode (abs|rel), block (block size),
-// workers (0 serial, -1 server max, else capped at the server max).
+// width, filling zero fields with the server's defaults and capping
+// workers at the server's limit. Invalid options fail here, before the
+// body is read: a batch would otherwise fail array by array, and a stream
+// could only truncate its response.
 func (s *Server) parseOptions(q url.Values) (opt szx.Options, elemSize int, err error) {
-	opt = szx.Options{ErrorBound: s.cfg.DefaultErrorBound, Mode: szx.BoundAbsolute}
-	elemSize = 4
-	switch t := q.Get("t"); t {
-	case "", "f32":
-	case "f64":
-		elemSize = 8
-	default:
-		return opt, 0, fmt.Errorf("unknown element type %q (want f32 or f64)", t)
+	p, elem, err := wire.ParseQuery(q)
+	if err != nil {
+		return opt, 0, err
 	}
-	if e := q.Get("e"); e != "" {
-		v, perr := strconv.ParseFloat(e, 64)
-		if perr != nil || v <= 0 {
-			return opt, 0, fmt.Errorf("bad error bound %q", e)
-		}
-		opt.ErrorBound = v
+	opt = szx.Options{ErrorBound: p.ErrorBound, TargetRatio: p.TargetRatio, Mode: p.Mode, BlockSize: p.BlockSize, Workers: p.Workers}
+	if opt.ErrorBound == 0 && opt.TargetRatio == 0 {
+		opt.ErrorBound = s.cfg.DefaultErrorBound
 	}
-	if rt := q.Get("ratio"); rt != "" {
-		v, perr := strconv.ParseFloat(rt, 64)
-		if perr != nil {
-			return opt, 0, fmt.Errorf("bad target ratio %q", rt)
-		}
-		if q.Get("e") != "" {
-			return opt, 0, fmt.Errorf("ratio and e are mutually exclusive")
-		}
-		// Fixed-ratio mode replaces the bound entirely; the server default
-		// bound must not linger or validation would see a conflict.
-		opt.ErrorBound = 0
-		opt.TargetRatio = v
+	if opt.Workers == szx.WorkersAuto || opt.Workers > s.cfg.MaxWorkers {
+		opt.Workers = s.cfg.MaxWorkers
 	}
-	switch m := q.Get("mode"); m {
-	case "", "abs":
-	case "rel":
-		opt.Mode = szx.BoundRelative
-	default:
-		return opt, 0, fmt.Errorf("unknown bound mode %q (want abs or rel)", m)
+	if err := opt.Validate(); err != nil {
+		return opt, 0, err
 	}
-	if b := q.Get("block"); b != "" {
-		v, perr := strconv.Atoi(b)
-		if perr != nil {
-			return opt, 0, fmt.Errorf("bad block size %q", b)
-		}
-		opt.BlockSize = v
+	// Validate leaves the block size to the codec, which reports it only
+	// once it runs.
+	if opt.BlockSize < 0 || opt.BlockSize > szx.MaxBlockSize {
+		return opt, 0, fmt.Errorf("block size %d: %w", opt.BlockSize, szx.ErrBlockSize)
 	}
-	if ws := q.Get("workers"); ws != "" {
-		v, perr := strconv.Atoi(ws)
-		if perr != nil || v < -1 {
-			return opt, 0, fmt.Errorf("bad workers %q", ws)
-		}
-		if v == -1 || v > s.cfg.MaxWorkers {
-			v = s.cfg.MaxWorkers
-		}
-		opt.Workers = v
+	if elem == wire.ElemF64 {
+		return opt, 8, nil
 	}
-	return opt, elemSize, nil
+	return opt, 4, nil
 }
 
-// readRequestBody pulls the whole body through the scratch buffer,
-// translating size and disconnect failures into wire responses. A nil
-// slice return means the response has already been written. tr (nil-safe)
-// gets the read_body span and the payload size.
-func readRequestBody(w http.ResponseWriter, r *http.Request, sc *scratch, max int64, tr *trace.Trace) []byte {
-	sp := tr.StartSpan("read_body")
-	body, err := sc.readBody(r.Body, max)
+// readBody pulls the whole body through the scratch buffer, translating
+// size and disconnect failures into wire responses. A nil slice return
+// means the response has already been written.
+func (rq *reqScope) readBody(w http.ResponseWriter, r *http.Request, sc *scratch) []byte {
+	sp := rq.tr.StartSpan("read_body")
+	body, err := sc.readBody(r.Body, rq.srv.cfg.MaxBodyBytes)
 	sp.End()
-	if err != nil {
-		if errors.Is(err, errBodyTooLarge) {
-			telemetry.ServiceBadRequests.Inc()
-			tr.SetError(err.Error())
-			writeError(w, http.StatusRequestEntityTooLarge,
-				wireError{Code: codeTooLarge, Message: err.Error()}, 0)
-			return nil
-		}
+	switch {
+	case errors.Is(err, errBodyTooLarge):
+		telemetry.ServiceBadRequests.Inc()
+		rq.tr.SetError(err.Error())
+		wire.WriteError(w, wire.Error{Code: wire.CodeTooLarge, Message: err.Error()}, 0)
+		return nil
+	case err != nil:
 		// A read error on the request body means the client went away (or
 		// the connection broke) mid-upload; nobody is listening for a body.
 		telemetry.ServiceCancelledRequests.Inc()
-		tr.SetError("client closed request during body read")
-		w.WriteHeader(statusClientClosedRequest)
+		rq.tr.SetError("client closed request during body read")
+		w.WriteHeader(wire.Status(wire.CodeCancelled))
 		return nil
-	}
-	if len(body) == 0 {
-		tr.SetError("empty request body")
-		badRequest(w, "empty request body")
+	case len(body) == 0:
+		rq.badRequest(w, "empty request body")
 		return nil
 	}
 	telemetry.ServiceBytesIn.Add(int64(len(body)))
-	tr.SetBytes(int64(len(body)), -1)
+	rq.tr.SetBytes(int64(len(body)), -1)
 	return body
 }
 
@@ -125,12 +89,12 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 
 	opt, elemSize, err := s.parseOptions(r.URL.Query())
 	if err != nil {
-		rq.badRequest(w, err.Error())
+		rq.fail(w, err)
 		return
 	}
 	sc := getScratch(r.ContentLength)
 	defer putScratch(sc)
-	body := readRequestBody(w, r, sc, s.cfg.MaxBodyBytes, rq.tr)
+	body := rq.readBody(w, r, sc)
 	if body == nil {
 		return
 	}
@@ -151,23 +115,16 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var comp []byte
-	sp := rq.tr.StartSpan("unpack_body")
 	if elemSize == 4 {
-		sc.f32 = bytesToF32(sc.f32, body)
-		sp.End()
-		sc.c32.SetOptions(opt)
-		comp, err = sc.c32.Compress(sc.f32)
+		comp, err = compressBody(rq, &sc.f32, sc.c32, body, opt)
 	} else {
-		sc.f64 = bytesToF64(sc.f64, body)
-		sp.End()
-		sc.c64.SetOptions(opt)
-		comp, err = sc.c64.Compress(sc.f64)
+		comp, err = compressBody(rq, &sc.f64, sc.c64, body, opt)
 	}
 	if err != nil {
 		rq.fail(w, err)
 		return
 	}
-	sp = rq.tr.StartSpan("write_response")
+	sp := rq.tr.StartSpan("write_response")
 	writeBinary(w, comp)
 	sp.End()
 }
@@ -185,12 +142,12 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 
 	opt, _, err := s.parseOptions(r.URL.Query())
 	if err != nil {
-		rq.badRequest(w, err.Error())
+		rq.fail(w, err)
 		return
 	}
 	sc := getScratch(r.ContentLength)
 	defer putScratch(sc)
-	body := readRequestBody(w, r, sc, s.cfg.MaxBodyBytes, rq.tr)
+	body := rq.readBody(w, r, sc)
 	if body == nil {
 		return
 	}
@@ -220,7 +177,7 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		}
 		sc.f32 = vals
 		sp.End()
-		rq.writeF32(w, sc, vals)
+		writeValues(rq, w, sc, vals)
 		return
 	}
 
@@ -229,35 +186,40 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		rq.fail(w, err)
 		return
 	}
+	if h.Type == szx.TypeFloat64 {
+		decompressBody(rq, w, sc, sc.c64, body, h.N, opt)
+	} else {
+		decompressBody(rq, w, sc, sc.c32, body, h.N, opt)
+	}
+}
+
+// compressBody unpacks body into the scratch's value buffer vals and
+// compresses it on the scratch's codec c.
+func compressBody[T szx.Float](rq *reqScope, vals *[]T, c *szx.Codec[T], body []byte, opt szx.Options) ([]byte, error) {
+	sp := rq.tr.StartSpan("unpack_body")
+	*vals = wireconv.Values(*vals, body)
+	sp.End()
+	c.SetOptions(opt)
+	return c.Compress(*vals)
+}
+
+// decompressBody decodes a single SZx stream of n values on the scratch's
+// codec c and sends the values.
+func decompressBody[T szx.Float](rq *reqScope, w http.ResponseWriter, sc *scratch, c *szx.Codec[T], body []byte, n int, opt szx.Options) {
 	// The header gives the exact decoded size, so the serial shortcut keys
 	// on output bytes — the same signal the adaptive engine itself uses.
-	es := 4
-	if h.Type == szx.TypeFloat64 {
-		es = 8
-	}
-	if opt.Workers != 0 && es*h.N < szx.ParallelMinBytes() {
+	if opt.Workers != 0 && n*wireconv.Size[T]() < szx.ParallelMinBytes() {
 		opt.Workers = 0
 	}
 	sp := rq.tr.StartSpan("decode")
-	if h.Type == szx.TypeFloat64 {
-		sc.c64.SetOptions(opt)
-		vals, derr := sc.c64.Decompress(body)
-		sp.End()
-		if derr != nil {
-			rq.fail(w, derr)
-			return
-		}
-		rq.writeF64(w, sc, vals)
-		return
-	}
-	sc.c32.SetOptions(opt)
-	vals, derr := sc.c32.Decompress(body)
+	c.SetOptions(opt)
+	vals, err := c.Decompress(body)
 	sp.End()
-	if derr != nil {
-		rq.fail(w, derr)
+	if err != nil {
+		rq.fail(w, err)
 		return
 	}
-	rq.writeF32(w, sc, vals)
+	writeValues(rq, w, sc, vals)
 }
 
 // handleStreamCompress pumps an unbounded raw float32 body through the
@@ -272,31 +234,20 @@ func (s *Server) handleStreamCompress(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rq.end()
 
-	q := r.URL.Query()
-	if t := q.Get("t"); t != "" && t != "f32" {
-		rq.badRequest(w, "streaming endpoints carry float32 only")
-		return
-	}
-	opt, _, err := s.parseOptions(q)
+	opt, elemSize, err := s.parseOptions(r.URL.Query())
 	if err != nil {
-		rq.badRequest(w, err.Error())
+		rq.fail(w, err)
 		return
 	}
-	// The pipeline surfaces errors mid-stream as truncation; option errors
-	// are knowable now, while a clean 400 is still possible.
-	if verr := opt.Validate(); verr != nil {
-		rq.fail(w, verr)
+	if elemSize != 4 {
+		rq.badRequest(w, "streaming endpoints carry float32 only")
 		return
 	}
 
 	chunkBytes := 4 * s.cfg.ChunkValues
 	sc := getScratch(int64(chunkBytes))
 	defer putScratch(sc)
-	buf := sc.raw[:0]
-	if cap(buf) < chunkBytes {
-		buf = make([]byte, 0, chunkBytes)
-	}
-	buf = buf[:chunkBytes]
+	buf := resize(sc.raw, chunkBytes)
 	defer func() { sc.raw = buf }()
 
 	// Both streaming endpoints read the request body while writing the
@@ -329,7 +280,7 @@ func (s *Server) handleStreamCompress(w http.ResponseWriter, r *http.Request) {
 				_ = pw.Close()
 				return
 			}
-			sc.f32 = bytesToF32(sc.f32, buf[:n])
+			sc.f32 = wireconv.Values(sc.f32, buf[:n])
 			if werr := pw.Write(sc.f32); werr != nil {
 				countStreamFailure(r, werr)
 				rq.tr.SetError(werr.Error())
@@ -367,16 +318,8 @@ func (s *Server) handleStreamDecompress(w http.ResponseWriter, r *http.Request) 
 
 	sc := getScratch(int64(4 * s.cfg.ChunkValues))
 	defer putScratch(sc)
-	vals := sc.f32[:0]
-	if cap(vals) < s.cfg.ChunkValues {
-		vals = make([]float32, 0, s.cfg.ChunkValues)
-	}
-	vals = vals[:cap(vals)]
-	out := sc.out[:0]
-	if cap(out) < 4*len(vals) {
-		out = make([]byte, 0, 4*len(vals))
-	}
-	out = out[:4*len(vals)]
+	vals := resize(sc.f32, s.cfg.ChunkValues)
+	out := resize(sc.out, 4*len(vals))
 	defer func() { sc.f32, sc.out = vals, out }()
 
 	// See handleStreamCompress: body reads continue after response writes
@@ -397,9 +340,7 @@ func (s *Server) handleStreamDecompress(w http.ResponseWriter, r *http.Request) 
 	for {
 		n, rerr := pr.Read(vals)
 		if n > 0 {
-			for i, v := range vals[:n] {
-				binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(v))
-			}
+			wireconv.PutF32(out, vals[:n])
 			if !wrote {
 				w.Header().Set("Content-Type", contentTypeBinary)
 				wrote = true
@@ -451,36 +392,15 @@ func writeBinary(w http.ResponseWriter, b []byte) {
 	telemetry.ServiceBytesOut.Add(int64(n))
 }
 
-// writeF32 stages vals as little-endian bytes in the scratch and sends
-// them.
-func writeF32(w http.ResponseWriter, sc *scratch, vals []float32) {
-	need := 4 * len(vals)
-	out := sc.out[:0]
-	if cap(out) < need {
-		out = make([]byte, 0, need)
-	}
-	out = out[:need]
-	wireconv.PutF32(out, vals)
-	sc.out = out
-	writeBinary(w, out)
+// writeValues stages vals as little-endian bytes in the scratch and sends
+// them; its write_response span covers both.
+func writeValues[T szx.Float](rq *reqScope, w http.ResponseWriter, sc *scratch, vals []T) {
+	sp := rq.tr.StartSpan("write_response")
+	sc.out = resize(sc.out, len(vals)*wireconv.Size[T]())
+	wireconv.Put(sc.out, vals)
+	writeBinary(w, sc.out)
+	sp.End()
 }
-
-func writeF64(w http.ResponseWriter, sc *scratch, vals []float64) {
-	need := 8 * len(vals)
-	out := sc.out[:0]
-	if cap(out) < need {
-		out = make([]byte, 0, need)
-	}
-	out = out[:need]
-	wireconv.PutF64(out, vals)
-	sc.out = out
-	writeBinary(w, out)
-}
-
-// bytesToF32 decodes little-endian float32s into dst's reused capacity.
-func bytesToF32(dst []float32, b []byte) []float32 { return wireconv.F32(dst[:0], b) }
-
-func bytesToF64(dst []float64, b []byte) []float64 { return wireconv.F64(dst[:0], b) }
 
 // countingWriter / countingReader tally streamed bytes for the service
 // byte counters without buffering anything.

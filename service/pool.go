@@ -168,6 +168,16 @@ func (sc *scratch) seedSize(max int64) int {
 	return seed
 }
 
+// resize returns b with length n, reusing its capacity when that suffices
+// and otherwise allocating exactly n, so a buffer stays inside the size
+// class of the request that grew it.
+func resize[S ~[]E, E any](b S, n int) S {
+	if cap(b) < n {
+		return make(S, n)
+	}
+	return b[:n]
+}
+
 // errBodyTooLarge marks a request body that exceeded Config.MaxBodyBytes.
 type bodyTooLargeError struct{}
 

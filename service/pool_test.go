@@ -3,8 +3,6 @@ package service
 import (
 	"bytes"
 	"testing"
-
-	szx "repro"
 )
 
 // TestScratchSizeClasses pins the size-class routing: a small request after
@@ -103,44 +101,5 @@ func TestClassForSize(t *testing.T) {
 		if got := classForSize(tc.n); got != tc.want {
 			t.Errorf("classForSize(%d) = %d, want %d", tc.n, got, tc.want)
 		}
-	}
-}
-
-// TestSmallBodyZeroAllocs is the small-payload twin of
-// TestPooledPathZeroAllocs: a warm 16 KiB compress through the pooled path
-// must allocate nothing AND stay inside its size class — the two properties
-// the size-classed pool exists for.
-func TestSmallBodyZeroAllocs(t *testing.T) {
-	vals := make([]float32, 4*1024) // 16 KiB body
-	for i := range vals {
-		vals[i] = float32(i%31) * 0.25
-	}
-	raw := make([]byte, 4*len(vals))
-	for i, v := range vals {
-		putF32(raw[4*i:], v)
-	}
-	rd := bytes.NewReader(raw)
-	opt := szx.Options{ErrorBound: 1e-3}
-	sc := getScratch(int64(len(raw))) // hold it so the pool can't evict mid-test
-	defer putScratch(sc)
-
-	run := func() {
-		rd.Reset(raw)
-		body, err := sc.readBody(rd, 1<<30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc.f32 = bytesToF32(sc.f32, body)
-		sc.c32.SetOptions(opt)
-		if _, err := sc.c32.Compress(sc.f32); err != nil {
-			t.Fatal(err)
-		}
-	}
-	run()
-	if n := testing.AllocsPerRun(20, run); n > 0 {
-		t.Fatalf("small-body pooled path allocates %.1f times per request; want 0", n)
-	}
-	if cap(sc.raw) > scratchClassSizes[classForSize(int64(len(raw)))] {
-		t.Fatalf("16 KiB requests grew the body buffer to %d bytes", cap(sc.raw))
 	}
 }

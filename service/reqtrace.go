@@ -1,21 +1,15 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"time"
 
+	szx "repro"
+	"repro/service/internal/wire"
 	"repro/telemetry"
 	"repro/telemetry/trace"
 )
-
-// TraceIDHeader is the response header carrying the request's trace ID —
-// the handle for looking the request up at /debug/requests?trace_id=...
-// It is set before admission, so even shed (429/503) responses carry it.
-const TraceIDHeader = "Szx-Trace-Id"
-
-// traceparentHeader is the W3C-style request header a caller uses to
-// supply its own trace ID (version-00 format; see telemetry/trace).
-const traceparentHeader = "Traceparent"
 
 // statusWriter records the response status and body size as they pass
 // through, so the trace and access log can report what was actually sent.
@@ -61,27 +55,30 @@ type reqScope struct {
 
 // begin runs the request-scoped preamble for a data endpoint: start (or
 // adopt) a trace, run admission — recording the wait as the queue_wait
-// span — and count the request. On denial it writes the error response and
-// finishes the trace itself, returning ok=false. On success the returned
+// span — and count the request. The trace ID goes back in
+// wire.TraceIDHeader before admission, so even shed responses carry the
+// handle for /debug/requests?trace_id=... On denial it writes the error
+// response and finishes the trace itself, returning ok=false. On success the returned
 // writer and request (trace-wrapped) replace the originals, and the caller
 // must defer sc.end().
 func (s *Server) begin(w http.ResponseWriter, r *http.Request, reqs *telemetry.Counter, name string) (sc *reqScope, ww http.ResponseWriter, rr *http.Request, ok bool) {
 	var tr *trace.Trace
 	if s.rec != nil {
-		tr = trace.FromTraceparent(name, r.Header.Get(traceparentHeader))
-		w.Header().Set(TraceIDHeader, tr.ID())
+		tr = trace.FromTraceparent(name, r.Header.Get(wire.TraceparentHeader))
+		w.Header().Set(wire.TraceIDHeader, tr.ID())
 		r = r.WithContext(trace.NewContext(r.Context(), tr))
 	}
 	admT0 := time.Now()
 	release, den := s.adm.admit(r.Context().Done(), tr.ID())
 	tr.RecordSpan("queue_wait", admT0, time.Now())
 	if den != nil {
-		writeError(w, den.status, wireError{Code: den.code, Message: den.msg}, den.retryAfter)
+		wire.WriteError(w, wire.Error{Code: den.code, Message: den.msg}, den.retryAfter)
 		if tr != nil {
-			tr.SetStatus(den.status)
+			status := wire.Status(den.code)
+			tr.SetStatus(status)
 			tr.SetError(den.msg)
 			tr.Finish(s.rec)
-			s.logAccess(tr, den.status, 0)
+			s.logAccess(tr, status, 0)
 		}
 		return nil, w, r, false
 	}
@@ -112,31 +109,26 @@ func (sc *reqScope) end() {
 	sc.srv.logAccess(sc.tr, status, sc.sw.bytes)
 }
 
-// fail and badRequest mirror the package-level helpers while also pinning
-// the error text on the trace (error-marked traces are always retained).
+// fail classifies err, counts it, pins its text on the trace (error-marked
+// traces are always retained) and writes the error response.
 func (sc *reqScope) fail(w http.ResponseWriter, err error) {
 	sc.tr.SetError(err.Error())
-	fail(w, err)
+	we := wire.Error{Code: wire.CodeOf(err), Message: err.Error()}
+	var fe *szx.FrameError
+	if errors.As(err, &fe) {
+		we.Frame, we.Offset = fe.Frame, fe.Offset
+	}
+	if wire.Status(we.Code) < 500 {
+		telemetry.ServiceBadRequests.Inc()
+	}
+	wire.WriteError(w, we, 0)
 }
 
+// badRequest is fail for a problem found before the codec runs.
 func (sc *reqScope) badRequest(w http.ResponseWriter, msg string) {
 	sc.tr.SetError(msg)
-	badRequest(w, msg)
-}
-
-// writeF32 / writeF64 wrap the package-level response writers in a
-// write_response span (which covers both the little-endian staging and the
-// socket write).
-func (sc *reqScope) writeF32(w http.ResponseWriter, scr *scratch, vals []float32) {
-	sp := sc.tr.StartSpan("write_response")
-	writeF32(w, scr, vals)
-	sp.End()
-}
-
-func (sc *reqScope) writeF64(w http.ResponseWriter, scr *scratch, vals []float64) {
-	sp := sc.tr.StartSpan("write_response")
-	writeF64(w, scr, vals)
-	sp.End()
+	telemetry.ServiceBadRequests.Inc()
+	wire.WriteError(w, wire.Error{Code: wire.CodeBadRequest, Message: msg}, 0)
 }
 
 // logAccess emits one structured access-log line for a finished request.

@@ -40,6 +40,7 @@ import (
 	"time"
 
 	szx "repro"
+	"repro/service/internal/wire"
 	"repro/telemetry"
 	"repro/telemetry/trace"
 )
@@ -243,7 +244,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		// Retry-After on the probe itself, not just the data-plane 503s:
 		// pollers and routers that only watch readiness learn how long to
 		// stop sending without ever parsing a JSON error body.
-		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.QueueWait))
+		w.Header().Set(wire.RetryAfterHeader, wire.FormatRetryAfter(s.cfg.QueueWait))
 		w.WriteHeader(http.StatusServiceUnavailable)
 		_, _ = w.Write([]byte("draining\n"))
 		return

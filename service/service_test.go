@@ -194,8 +194,7 @@ func TestServiceCorruptInputIsClean4xx(t *testing.T) {
 		t.Fatalf("truncated container: want 400, got %v", err)
 	}
 
-	// Bad parameters are bad_request, not corrupt. The client refuses to
-	// send an invalid bound, so hit the endpoint with a raw query.
+	// Bad parameters are bad_options, as in-process, not corrupt.
 	resp, err := http.Post(baseURL+"/v1/compress?e=-1", "application/octet-stream",
 		bytes.NewReader(f32Bytes(vals[:64])))
 	if err != nil {
@@ -206,8 +205,8 @@ func TestServiceCorruptInputIsClean4xx(t *testing.T) {
 		t.Fatalf("negative bound: status %d, want 400", resp.StatusCode)
 	}
 	body, _ := io.ReadAll(resp.Body)
-	if !bytes.Contains(body, []byte(`"bad_request"`)) {
-		t.Fatalf("negative bound: body %s missing bad_request code", body)
+	if !bytes.Contains(body, []byte(`"bad_options"`)) {
+		t.Fatalf("negative bound: body %s missing bad_options code", body)
 	}
 }
 
@@ -584,5 +583,46 @@ func TestServiceBadOptionsIs400(t *testing.T) {
 	}
 	if got := resp.Header.Get("Content-Type"); got != "application/json; charset=utf-8" {
 		t.Fatalf("stream bad ratio: content type %q, want JSON error body", got)
+	}
+}
+
+// TestInvalidParamsAre400: an invalid client.Params fails remotely as it
+// does in-process, on every endpoint that takes options, instead of being
+// replaced by the server's defaults. Zero still means "server default".
+func TestInvalidParamsAre400(t *testing.T) {
+	_, c, _ := newTestServer(t, service.Config{})
+	ctx := context.Background()
+	vals := testField(1024, 3)
+	for _, tc := range []struct {
+		p    client.Params
+		want error // the in-process error for the same options
+	}{
+		{client.Params{ErrorBound: -1}, szx.ErrBadOptions},
+		{client.Params{TargetRatio: -3}, szx.ErrBadOptions},
+		{client.Params{BlockSize: -8}, szx.ErrBlockSize},
+	} {
+		opt := szx.Options{ErrorBound: tc.p.ErrorBound, TargetRatio: tc.p.TargetRatio, BlockSize: tc.p.BlockSize}
+		if opt.ErrorBound == 0 && opt.TargetRatio == 0 {
+			opt.ErrorBound = 1e-3 // the server's default bound
+		}
+		if _, err := szx.Compress(vals, opt); !errors.Is(err, tc.want) {
+			t.Fatalf("%+v in-process: got %v, want %v", tc.p, err, tc.want)
+		}
+		_, oneShot := c.Compress(ctx, vals, tc.p)
+		_, batch := c.CompressBatch(ctx, [][]float32{vals}, tc.p)
+		rc, stream := c.StreamCompress(ctx, bytes.NewReader(f32Bytes(vals)), tc.p)
+		if rc != nil {
+			rc.Close()
+		}
+		for name, err := range map[string]error{"one-shot": oneShot, "batch": batch, "stream": stream} {
+			var se *client.Error
+			if !errors.As(err, &se) || se.Status != http.StatusBadRequest {
+				t.Errorf("%+v %s: got %v, want a 400", tc.p, name, err)
+				continue
+			}
+			if tc.want == szx.ErrBadOptions && !errors.Is(err, szx.ErrBadOptions) {
+				t.Errorf("%+v %s: %v does not unwrap to szx.ErrBadOptions", tc.p, name, err)
+			}
+		}
 	}
 }
