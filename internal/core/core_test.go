@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -221,6 +222,45 @@ func TestCorruptStreams(t *testing.T) {
 		c := append([]byte(nil), comp...)
 		c[i] ^= 0xFF
 		_, _ = DecompressFloat32(c) // any result ok, just no panic
+	}
+}
+
+// TestZsizeByteShiftIsCorrupt moves one byte of zsize from a nonconstant
+// block to the constant block after it. The nonconstant block's mid is then
+// one byte short, and the missing byte sits in its read slack (DecodeScan
+// may load past a block's end into the next block's payload); decoding must
+// still reject the block, serially and in parallel.
+func TestZsizeByteShiftIsCorrupt(t *testing.T) {
+	const bs, nb = 128, 17 // two 8-block chunks and a third, so decode goes parallel
+	rng := rand.New(rand.NewSource(5))
+	data := make([]float32, nb*bs)
+	for i := range data[:(nb-1)*bs] {
+		data[i] = float32(rng.NormFloat64())
+	}
+	for i := (nb - 1) * bs; i < len(data); i++ {
+		data[i] = 5
+	}
+	comp, err := CompressFloat32(data, 1e-9, Options{BlockSize: bs}) // lossless nonconstant blocks
+	if err != nil {
+		t.Fatal(err)
+	}
+	si, err := ParseStream(comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !si.IsNonConstant(nb-2) || si.IsNonConstant(nb-1) {
+		t.Fatal("want a nonconstant block followed by a constant block")
+	}
+	z := si.Zsize // aliases comp
+	binary.LittleEndian.PutUint16(z[2*(nb-2):], binary.LittleEndian.Uint16(z[2*(nb-2):])-1)
+	binary.LittleEndian.PutUint16(z[2*(nb-1):], binary.LittleEndian.Uint16(z[2*(nb-1):])+1)
+	if _, err := DecompressFloat32(comp); err != ErrCorrupt {
+		t.Errorf("serial decode: got %v, want ErrCorrupt", err)
+	}
+	defer func(old int) { ParallelMinBytes = old }(ParallelMinBytes)
+	ParallelMinBytes = 0
+	if _, err := DecompressFloat32Parallel(comp, 2); err != ErrCorrupt {
+		t.Errorf("parallel decode: got %v, want ErrCorrupt", err)
 	}
 }
 

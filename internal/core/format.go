@@ -195,7 +195,11 @@ type Index struct {
 	Payload []byte // concatenated per-block payloads
 }
 
-// ParseStream validates the container and returns the section index.
+// ParseStream validates the container and returns the section index. The
+// payload's capacity ends at len(comp): a block's payload slice then runs
+// into the blocks after it, which the decode kernels may read past a
+// block's end (DecodeScan's read slack), but never into bytes of comp's
+// backing array that belong to someone else.
 func ParseStream(comp []byte) (Index, error) {
 	h, err := ParseHeader(comp)
 	if err != nil {
@@ -212,7 +216,7 @@ func ParseStream(comp []byte) (Index, error) {
 		Hdr:     h,
 		Bitmap:  comp[off : off+bitmapLen],
 		Zsize:   comp[off+bitmapLen : off+bitmapLen+zsizeLen],
-		Payload: comp[off+bitmapLen+zsizeLen:],
+		Payload: comp[off+bitmapLen+zsizeLen : len(comp) : len(comp)],
 	}
 	return si, nil
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // The avx2 kernel set: thin Go drivers over the vector loops in
-// stats_amd64.s / encode_amd64.s / decode_amd64.s. Every driver falls back
+// stats_amd64.s / encode_amd64.s / unpack_amd64.s. Each one falls back
 // to the generic loop for blocks too small to fill a vector group, and
 // finishes ragged tails with the same scalar code the generic set runs, so
 // the two sets stay byte-identical by construction.
@@ -273,65 +273,130 @@ func emitF64(lead, mid []byte, wsh *[MaxBlockSize]uint64, ldv *[MaxBlockSize]uin
 
 // --- decode ----------------------------------------------------------------
 
-// Implemented in decode_amd64.s. Returns how far the vector loop got
-// (values decoded, mid bytes consumed, last reconstructed word) so the Go
-// driver can hand the remainder to the shared scalar tail; bad is nonzero
-// iff a lead code exceeded reqBytes.
+// decEntry is one row of a decode table: the PSHUFB mask that moves one
+// 16-byte lane's mid-bytes into place, and the mask of the bytes the lane
+// inherits from the previous lane's last word.
+type decEntry struct{ shuf, carry [16]byte }
+
+// A decode table holds, per reqBytes class and per lead key (a whole lead
+// byte for float32, four words per lane; a nibble for float64, two words
+// per lane), the lane's row and the number of mid-bytes the lane consumes,
+// or advCorrupt when a code in the key exceeds reqBytes.
+type (
+	decTab32 struct {
+		e   [256]decEntry
+		adv [256]byte
+	}
+	decTab64 struct {
+		e   [16]decEntry
+		adv [16]byte
+	}
+)
+
+const advCorrupt = 0xFF
+
+var (
+	decTabs32 [3]decTab32 // reqBytes 2..4
+	decTabs64 [7]decTab64 // reqBytes 2..8
+)
+
+// init fills the decode tables. It is an init function because variable
+// initializers compile to code the linker places ahead of the encode
+// scans, shifting their alignment.
+func init() {
+	for rb := range decTabs32 {
+		for k := range decTabs32[rb].e {
+			decTabs32[rb].e[k], decTabs32[rb].adv[k] = decodeLane(4, rb+2, k)
+		}
+	}
+	for rb := range decTabs64 {
+		for k := range decTabs64[rb].e {
+			decTabs64[rb].e[k], decTabs64[rb].adv[k] = decodeLane(8, rb+2, k)
+		}
+	}
+}
+
+// decodeLane builds the row for one lane of 16/es words whose 2-bit lead
+// codes are packed into key, first word in the highest bits. Big-endian
+// byte j of word q comes from the latest word r ≤ q with l_r ≤ j, at mid
+// offset (bytes consumed before r) + j - l_r; with no such word in the lane
+// it comes from the previous lane's last word (carry); bytes at or past
+// reqBytes are zero.
+func decodeLane(es, reqBytes, key int) (e decEntry, adv byte) {
+	words := 16 / es
+	off := 0
+	for q := 0; q < words; q++ {
+		l := key >> uint(2*(words-1-q)) & 3
+		if l > reqBytes {
+			return decEntry{}, advCorrupt
+		}
+		for j := 0; j < es; j++ {
+			p := q*es + es - 1 - j // little-endian position of byte j
+			switch {
+			case j >= reqBytes:
+				e.shuf[p] = 0x80
+			case j >= l:
+				e.shuf[p] = byte(off + j - l)
+			case q == 0:
+				e.shuf[p], e.carry[p] = 0x80, 0xFF
+			default:
+				e.shuf[p], e.carry[p] = e.shuf[p-es], e.carry[p-es]
+			}
+		}
+		off += reqBytes - l
+	}
+	return e, byte(off)
+}
+
+// Implemented in unpack_amd64.s. Decode whole lead bytes of values while
+// i < n and the lane loads stay inside midCap, and return how far they got:
+// values decoded, mid-bytes consumed and the last reconstructed word. A
+// code above reqBytes returns mi = midCap+1.
 //
 //go:noescape
-func decodeF32Asm(out *float32, lead *byte, mid *byte, midLen, n int, mu float32, s, lowSh, reqBytes, lossless uint32) (i, mi int, prev, bad uint32)
+func decodeF32Asm(out *float32, lead, mid *byte, n, midCap int, mu float32, s uint32, tab *decTab32, lossless bool) (i, mi int, prev uint32)
 
 //go:noescape
-func decodeF64Asm(out *float64, lead *byte, mid *byte, midLen, n int, mu float64, s, lowSh, reqBytes, lossless uint64) (i, mi int, prev, bad uint64)
+func decodeF64Asm(out *float64, lead, mid *byte, n, midCap int, mu float64, s uint64, tab *decTab64, lossless bool) (i, mi int, prev uint64)
 
+// decodeScanAVX2F32 runs the table loop over mid's capacity, not just its
+// length: the loop may load bytes past len(mid), but a block that consumed
+// them is corrupt, so they reach neither the values nor the verdict. The
+// remainder goes to the shared scalar tail.
 func decodeScanAVX2F32(out []float32, lead, mid []byte, mu float32, reqLen int) bool {
 	n := len(out)
 	s := uint(ieee.ShiftBits(reqLen))
 	reqBytes := (reqLen + int(s)) / 8
-	// The vector loop needs at least one full group and one group's
-	// worst-case mid consumption; tiny blocks/payloads go generic.
-	if n < 8 || len(mid) < 7*reqBytes+4 {
-		return decodeScanGeneric[float32, uint32](out, lead, mid, mu, reqLen)
-	}
 	lossless := reqLen == ieee.FullBits[float32]()
-	var lv uint32
-	if lossless {
-		lv = 1
+	i, mi, prev := 0, 0, uint32(0)
+	if n >= 4 && cap(mid) >= 16 {
+		i, mi, prev = decodeF32Asm(&out[0], &lead[0], unsafe.SliceData(mid), n&^3, cap(mid),
+			mu, uint32(s), &decTabs32[reqBytes-2], lossless)
+		if mi > len(mid) {
+			return false
+		}
+		if i == n {
+			return true
+		}
 	}
-	lowSh := uint(8 * (4 - reqBytes))
-	i, mi, prev, bad := decodeF32Asm(&out[0], &lead[0], &mid[0], len(mid), n, mu,
-		uint32(s), uint32(lowSh), uint32(reqBytes), lv)
-	if bad != 0 {
-		return false
-	}
-	var masks [4]uint32
-	for l := 1; l < 4; l++ {
-		masks[l] = ^(^uint32(0) >> uint(8*l))
-	}
-	return decodeScanTail[float32, uint32](out, lead, mid, mu, i, mi, prev, masks, s, lowSh, reqBytes, lossless)
+	return decodeScanTail(out, lead, mid, mu, i, mi, prev, spliceMasks[uint32](), s, uint(32-8*reqBytes), reqBytes, lossless)
 }
 
 func decodeScanAVX2F64(out []float64, lead, mid []byte, mu float64, reqLen int) bool {
 	n := len(out)
 	s := uint(ieee.ShiftBits(reqLen))
 	reqBytes := (reqLen + int(s)) / 8
-	if n < 4 || len(mid) < 3*reqBytes+8 {
-		return decodeScanGeneric[float64, uint64](out, lead, mid, mu, reqLen)
-	}
 	lossless := reqLen == ieee.FullBits[float64]()
-	var lv uint64
-	if lossless {
-		lv = 1
+	i, mi, prev := 0, 0, uint64(0)
+	if n >= 4 && cap(mid) >= 32 {
+		i, mi, prev = decodeF64Asm(&out[0], &lead[0], unsafe.SliceData(mid), n&^3, cap(mid),
+			mu, uint64(s), &decTabs64[reqBytes-2], lossless)
+		if mi > len(mid) {
+			return false
+		}
+		if i == n {
+			return true
+		}
 	}
-	lowSh := uint(8 * (8 - reqBytes))
-	i, mi, prev, bad := decodeF64Asm(&out[0], &lead[0], &mid[0], len(mid), n, mu,
-		uint64(s), uint64(lowSh), uint64(reqBytes), lv)
-	if bad != 0 {
-		return false
-	}
-	var masks [4]uint64
-	for l := 1; l < 4; l++ {
-		masks[l] = ^(^uint64(0) >> uint(8*l))
-	}
-	return decodeScanTail[float64, uint64](out, lead, mid, mu, i, mi, prev, masks, s, lowSh, reqBytes, lossless)
+	return decodeScanTail(out, lead, mid, mu, i, mi, prev, spliceMasks[uint64](), s, uint(64-8*reqBytes), reqBytes, lossless)
 }

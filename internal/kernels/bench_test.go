@@ -84,25 +84,38 @@ func BenchmarkDecodeScan(b *testing.B) {
 	mid := make([]byte, 8*128+8)
 	out32 := make([]float32, 128)
 	out64 := make([]float64, 128)
+	// The plain cases give mid the rest of the buffer as capacity, like a
+	// block in the middle of a stream; noslack is the stream's last block,
+	// whose remainder goes through the scalar tail.
 	ml32, _ := encodeScanGeneric[float32, uint32](lead, mid, blk32, 100, 18, false, 0, 0, scr)
 	for _, name := range Available() {
 		i32, _ := Lookup32(name)
-		b.Run(name+"/f32", func(b *testing.B) {
-			b.SetBytes(int64(4 * len(blk32)))
-			for i := 0; i < b.N; i++ {
-				sinkBool = i32.DecodeScan(out32, lead, mid[:ml32], 100, 18)
-			}
-		})
+		for _, c := range []struct {
+			name string
+			mid  []byte
+		}{{"/f32", mid[:ml32]}, {"/f32/noslack", mid[:ml32:ml32]}} {
+			b.Run(name+c.name, func(b *testing.B) {
+				b.SetBytes(int64(4 * len(blk32)))
+				for i := 0; i < b.N; i++ {
+					sinkBool = i32.DecodeScan(out32, lead, c.mid, 100, 18)
+				}
+			})
+		}
 	}
 	ml64, _ := encodeScanGeneric[float64, uint64](lead, mid, blk64, 100, 26, false, 0, 0, scr)
 	for _, name := range Available() {
 		i64, _ := Lookup64(name)
-		b.Run(name+"/f64", func(b *testing.B) {
-			b.SetBytes(int64(8 * len(blk64)))
-			for i := 0; i < b.N; i++ {
-				sinkBool = i64.DecodeScan(out64, lead, mid[:ml64], 100, 26)
-			}
-		})
+		for _, c := range []struct {
+			name string
+			mid  []byte
+		}{{"/f64", mid[:ml64]}, {"/f64/noslack", mid[:ml64:ml64]}} {
+			b.Run(name+c.name, func(b *testing.B) {
+				b.SetBytes(int64(8 * len(blk64)))
+				for i := 0; i < b.N; i++ {
+					sinkBool = i64.DecodeScan(out64, lead, c.mid, 100, 26)
+				}
+			})
+		}
 	}
 }
 

@@ -263,3 +263,58 @@ func TestEncodeDecodeCrossCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestDecodeReadSlack pins DecodeScan's read-slack contract on every
+// (reqBytes, lead byte): a 128-value block whose lead bytes all equal the
+// key, with random mid-bytes of exactly the length the block consumes and
+// random capacity after them, must decode like the generic kernel; with mid
+// one byte short it must be corrupt, whatever the capacity holds.
+func TestDecodeReadSlack(t *testing.T) {
+	for _, name := range Available() {
+		if name == "generic" {
+			continue
+		}
+		i32, _ := Lookup32(name)
+		i64, _ := Lookup64(name)
+		t.Run(name+"/f32", func(t *testing.T) { readSlackCheck[float32, uint32](t, i32.DecodeScan) })
+		t.Run(name+"/f64", func(t *testing.T) { readSlackCheck[float64, uint64](t, i64.DecodeScan) })
+	}
+}
+
+func readSlackCheck[T ieee.Float, B ieee.Word](t *testing.T, decV func(out []T, lead, mid []byte, mu T, reqLen int) bool) {
+	const n = 128
+	es := ieee.Width[T]()
+	rng := rand.New(rand.NewSource(3))
+	lead := make([]byte, n/4)
+	buf := make([]byte, es*n+64)
+	outG, outV := make([]T, n), make([]T, n)
+	for rb := 2; rb <= es; rb++ {
+		for key := 0; key < 256; key++ {
+			reqLen := 8*rb - key%8 // every shift; lossless when rb == es and key%8 == 0
+			midLen := 0
+			for q := 0; q < 4; q++ {
+				midLen += n / 4 * (rb - (key>>(6-2*q))&3)
+			}
+			for i := range lead {
+				lead[i] = byte(key)
+			}
+			rng.Read(buf)
+			mid := buf[:max(midLen, 0)]
+			okG := decodeScanGeneric[T, B](outG, lead, mid[:len(mid):len(mid)], 1.5, reqLen)
+			if okV := decV(outV, lead, mid, 1.5, reqLen); okV != okG {
+				t.Fatalf("reqBytes %d key %#02x: verdict %v, generic %v", rb, key, okV, okG)
+			}
+			if !okG || midLen == 0 {
+				continue
+			}
+			for i := range outG {
+				if ieee.ToBits[B](outG[i]) != ieee.ToBits[B](outV[i]) {
+					t.Fatalf("reqBytes %d key %#02x value %d: %v, generic %v", rb, key, i, outV[i], outG[i])
+				}
+			}
+			if decV(outV, lead, mid[:midLen-1], 1.5, reqLen) {
+				t.Fatalf("reqBytes %d key %#02x: decoded a mid one byte short from its slack", rb, key)
+			}
+		}
+	}
+}

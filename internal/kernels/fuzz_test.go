@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/bitio"
@@ -26,6 +27,9 @@ func FuzzKernelCrossCheck(f *testing.F) {
 		binary.LittleEndian.PutUint32(seed[4*i:], math.Float32bits(100+float32(i%17)*0.25))
 	}
 	f.Add(seed, uint8(77), true)
+	// A 48-value lossless payload whose mid is 35 bytes short: with read
+	// slack the vector loop can finish the block, and must still reject it.
+	f.Add(append(bytes.Repeat([]byte{0xff}, 11), bytes.Repeat([]byte{'0'}, 23)...), uint8(143), true)
 	f.Fuzz(func(t *testing.T, raw []byte, sel uint8, guarded bool) {
 		n32 := len(raw) / 4
 		if n32 > 512 {
@@ -127,7 +131,9 @@ func fuzzEncDec[T ieee.Float, B ieee.Word](t *testing.T, blk []T,
 
 // fuzzDecodeRaw feeds arbitrary fuzzed bytes to both decoders as a
 // lead/mid payload: the corrupt verdict and, on acceptance, every
-// reconstructed bit must agree.
+// reconstructed bit must agree. The vector decoder sees mid twice: with no
+// capacity past its length, and followed by at least 32 random bytes of
+// capacity (the read slack DecodeScan may load but must not use).
 func fuzzDecodeRaw[T ieee.Float, B ieee.Word](t *testing.T, raw []byte, sel uint8,
 	decV func(out []T, lead, mid []byte, mu T, reqLen int) bool, reqLen int) {
 	t.Helper()
@@ -140,18 +146,29 @@ func fuzzDecodeRaw[T ieee.Float, B ieee.Word](t *testing.T, raw []byte, sel uint
 	mid := raw[pl:]
 	mu := T(float64(sel) * 0.5)
 	outG := make([]T, n)
-	outV := make([]T, n)
-	rG := decodeScanGeneric[T, B](outG, lead, mid, mu, reqLen)
-	rV := decV(outV, lead, mid, mu, reqLen)
-	if rG != rV {
-		t.Fatalf("decode verdict diverges on raw payload: generic %v vector %v (n=%d reqLen=%d)", rG, rV, n, reqLen)
-	}
-	if !rG {
-		return
-	}
-	for i := range outG {
-		if ieee.ToBits[B](outG[i]) != ieee.ToBits[B](outV[i]) {
-			t.Fatalf("raw decode value %d diverges: %v vs %v", i, outG[i], outV[i])
+	rG := decodeScanGeneric[T, B](outG, lead, mid[:len(mid):len(mid)], mu, reqLen)
+	for _, m := range [][]byte{mid[:len(mid):len(mid)], withSlack(mid, 32+int(sel)%17, int64(len(raw))<<8|int64(sel))} {
+		outV := make([]T, n)
+		rV := decV(outV, lead, m, mu, reqLen)
+		if rG != rV {
+			t.Fatalf("decode verdict diverges on raw payload: generic %v vector %v (n=%d reqLen=%d slack=%d)",
+				rG, rV, n, reqLen, cap(m)-len(m))
+		}
+		if !rG {
+			continue
+		}
+		for i := range outG {
+			if ieee.ToBits[B](outG[i]) != ieee.ToBits[B](outV[i]) {
+				t.Fatalf("raw decode value %d diverges: %v vs %v (slack=%d)", i, outG[i], outV[i], cap(m)-len(m))
+			}
 		}
 	}
+}
+
+// withSlack copies mid into a buffer with slack random bytes after it and
+// returns the copy, whose capacity covers the slack.
+func withSlack(mid []byte, slack int, seed int64) []byte {
+	buf := make([]byte, len(mid)+slack)
+	rand.New(rand.NewSource(seed)).Read(buf[len(mid):])
+	return buf[:copy(buf, mid)]
 }

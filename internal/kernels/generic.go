@@ -182,13 +182,7 @@ func decodeScanGeneric[T ieee.Float, B ieee.Word](out []T, lead, mid []byte, mu 
 	lossless := reqLen == ieee.FullBits[T]()
 	lowSh := uint(8 * (es - reqBytes)) // bit offset of the last stored byte
 
-	// masks[l] keeps the top l bytes of the previous word. Precomputed so
-	// the per-value splice is a table load instead of a variable shift
-	// (whose ≥-width guard would sit on the loop's dependency chain).
-	var masks [4]B
-	for l := 1; l < 4; l++ {
-		masks[l] = ^(^B(0) >> uint(8*l))
-	}
+	masks := spliceMasks[B]()
 
 	if n == 0 {
 		return true
@@ -269,11 +263,21 @@ func decodeScanGeneric[T ieee.Float, B ieee.Word](out []T, lead, mid []byte, mu 
 	return decodeScanTail(out, lead, mid, mu, i, mi, prev, masks, s, lowSh, reqBytes, lossless)
 }
 
+// spliceMasks returns masks[l], which keeps the top l bytes of the previous
+// word. Precomputed so the per-value splice is a table load instead of a
+// variable shift (whose ≥-width guard would sit on the loop's dependency
+// chain).
+func spliceMasks[B ieee.Word]() (masks [4]B) {
+	for l := 1; l < 4; l++ {
+		masks[l] = ^(^B(0) >> uint(8*l))
+	}
+	return masks
+}
+
 // decodeScanTail finishes a block from value index i onwards with fully
 // bounds-checked narrow loads. It is shared by the generic and vector
-// decode kernels: the vector main loop stops at the same gate as the
-// generic one and hands the remainder here, so the two paths cannot
-// diverge on tail handling.
+// decode kernels: each main loop hands its remainder here, so the two
+// paths cannot diverge on tail handling.
 func decodeScanTail[T ieee.Float, B ieee.Word](out []T, lead, mid []byte, mu T,
 	i, mi int, prev B, masks [4]B, s, lowSh uint, reqBytes int, lossless bool) bool {
 	es := ieee.Width[T]()

@@ -124,11 +124,15 @@ type Impl32 struct {
 	// DecodeScan reconstructs one nonconstant block from its packed lead
 	// array and mid bytes into out (whose length is the block's value
 	// count). It returns false when the payload is corrupt (a lead code
-	// exceeding reqBytes, or mid running out of bytes).
+	// exceeding reqBytes, or mid running out of bytes). An implementation
+	// may read mid[len(mid):cap(mid)], never past cap(mid); those bytes
+	// affect neither the values nor the verdict, so callers hand over a
+	// block's mid with the rest of the stream as capacity.
 	DecodeScan func(out []float32, lead, mid []byte, mu float32, reqLen int) bool
 }
 
-// Impl64 is the float64 analogue of Impl32.
+// Impl64 is the float64 analogue of Impl32, with the same contracts,
+// DecodeScan's read slack included.
 type Impl64 struct {
 	Stats      func(blk []float64) (mn, mx float64, noNaN bool)
 	EncodeScan func(lead, mid []byte, blk []float64, mu float64, reqLen int,

@@ -3,7 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -198,10 +200,12 @@ func (rewindBody) Close() error { return nil }
 
 // TestHandlerScratchReuse drives warm requests through Handler().ServeHTTP
 // at every scratch class size, one byte under and one byte over: each must
-// find its scratch back in the pool it was leased from. A scratch rebuild
-// (buffers plus two Codecs) costs more than the 4 KiB budget at every
-// class. GOMAXPROCS is pinned to 1 because sync.Pool's per-P caches miss
-// when the goroutine moves between Ps.
+// find its scratch back in the pool it was leased from. The decompress rows
+// decode outputs one and two classes above their bodies' class, whose
+// output and value buffers must not move the scratch out of the body's
+// pool. A scratch rebuild (buffers plus two Codecs) costs more than the
+// 4 KiB budget at every class. GOMAXPROCS is pinned to 1 because
+// sync.Pool's per-P caches miss when the goroutine moves between Ps.
 func TestHandlerScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under -race")
@@ -209,27 +213,44 @@ func TestHandlerScratchReuse(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	h := New(Config{DisableTracing: true}).Handler()
 	w := &discardWriter{h: http.Header{}}
+	reuse := func(what, target string, raw []byte) {
+		body := rewindBody{bytes.NewReader(raw)}
+		req := httptest.NewRequest("POST", target, body)
+		req.ContentLength = int64(len(raw))
+		serve := func() {
+			body.Reset(raw)
+			h.ServeHTTP(w, req)
+		}
+		serve() // warm this size's pool
+		const runs = 8
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
+			t.Errorf("%s: %d bytes allocated per warm request, want at most 4096", what, per)
+		}
+	}
 	for _, size := range scratchClassSizes {
 		for _, n := range []int{size - 1, size, size + 1} {
-			raw := make([]byte, n)
-			body := rewindBody{bytes.NewReader(raw)}
-			req := httptest.NewRequest("POST", "/v1/compress?e=1e-3", body)
-			req.ContentLength = int64(n)
-			serve := func() {
-				body.Reset(raw)
-				h.ServeHTTP(w, req)
-			}
-			serve() // warm this size's pool
-			const runs = 8
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for range runs {
-				serve()
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > 4<<10 {
-				t.Errorf("%d-byte body: %d bytes allocated per warm request, want at most 4096", n, per)
-			}
+			reuse(fmt.Sprintf("%d-byte body", n), "/v1/compress?e=1e-3", make([]byte, n))
 		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, out := range []int{2 << 20, 12 << 20} {
+		vals := make([]float32, out/4)
+		for i := range vals {
+			vals[i] = float32(math.Sin(float64(i)/100) + 0.01*rng.NormFloat64())
+		}
+		comp, err := szx.Compress(vals, szx.Options{ErrorBound: 1e-3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if classForSize(int64(len(comp))) >= classForSize(int64(out)) {
+			t.Fatalf("%d-byte body for a %d-byte output: want the body in a smaller class", len(comp), out)
+		}
+		reuse(fmt.Sprintf("decompress to %d bytes from a %d-byte body", out, len(comp)), "/v1/decompress", comp)
 	}
 }

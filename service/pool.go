@@ -32,10 +32,10 @@ type scratch struct {
 // the largest body ever seen — after a single 8 MiB request, every 4 KiB
 // request leased (and touched, and kept hot) an 8 MiB working set. Now a
 // request is routed by its Content-Length to the smallest class that fits,
-// and on release the scratch is re-classed by the capacity it actually
-// retains: a small-class scratch that absorbed an oversized chunked upload
-// migrates to the class its buffers now belong to instead of polluting the
-// small pool. Bodies beyond the largest class share an overflow pool.
+// and on release a small-class scratch that absorbed an oversized chunked
+// upload migrates to the class its body buffer now belongs to instead of
+// polluting the small pool. Response-side buffers stay with the lease's
+// class. Bodies beyond the largest class share an overflow pool.
 var scratchClassSizes = [...]int{4 << 10, 64 << 10, 1 << 20, 8 << 20}
 
 // scratchOverflow indexes the pool for bodies beyond the largest class.
@@ -78,33 +78,22 @@ func getScratch(sizeHint int64) *scratch {
 	return sc
 }
 
-// putScratch returns a scratch to the pool of the class its retained
-// buffers actually fit, which is what keeps the small-class pools small: a
-// scratch that served a body larger than its class (lying or absent
-// Content-Length) carries big buffers now, and re-classing moves those to
-// the big pools where they are an asset instead of a liability.
+// putScratch returns a scratch to the pool it was leased from, or to the
+// class its body buffer now fits if that is larger, which is what keeps
+// the small-class pools small: a scratch that served a body larger than its
+// class (lying or absent Content-Length) carries a big body buffer now, and
+// re-classing moves it to the big pools where it is an asset instead of a
+// liability. Only the body buffer, whose size the lease declared, moves a
+// scratch up: a decompress's output and value buffers grow to the decoded
+// size, which may sit classes above the body, and the next request of the
+// same body size must find this scratch in its own pool. It never moves
+// down: the streaming decompress endpoint reads no body into the scratch.
 func putScratch(sc *scratch) {
-	sc.class = classForSize(int64(sc.footprint()))
+	if c := classForSize(int64(cap(sc.raw))); c > sc.class {
+		sc.class = c
+	}
 	sc.hint = 0
 	scratchPools[sc.class].Put(sc)
-}
-
-// footprint is the largest buffer this scratch retains, in bytes — the
-// size-class signal. (The Codec handles hold internal buffers too, but they
-// track the same request sizes as raw/out, so the externally visible
-// buffers are an honest proxy.)
-func (sc *scratch) footprint() int {
-	f := cap(sc.raw)
-	if c := cap(sc.out); c > f {
-		f = c
-	}
-	if c := 4 * cap(sc.f32); c > f {
-		f = c
-	}
-	if c := 8 * cap(sc.f64); c > f {
-		f = c
-	}
-	return f
 }
 
 // readBody reads r to EOF into sc.raw, reusing its capacity, and enforces

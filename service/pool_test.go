@@ -66,6 +66,25 @@ func TestScratchReclassOnRelease(t *testing.T) {
 	}
 }
 
+// TestScratchKeepsLeaseClass: a scratch whose value and output buffers
+// outgrew its class while its body buffer did not (a decompress, or the
+// streaming decompress endpoint, which reads no body into the scratch)
+// returns to the class it was leased from.
+func TestScratchKeepsLeaseClass(t *testing.T) {
+	for _, size := range scratchClassSizes {
+		sc := getScratch(int64(size))
+		leased := sc.class
+		sc.raw = nil
+		sc.f32 = resize(sc.f32, 2*size/4)
+		sc.out = resize(sc.out, 2*size)
+		putScratch(sc)
+		if sc.class != leased {
+			t.Errorf("%d-byte lease: scratch with a %d-byte output returned to class %d, want %d",
+				size, cap(sc.out), sc.class, leased)
+		}
+	}
+}
+
 // TestScratchClassBoundaries: a body at a class size, one byte under or
 // one byte over returns its scratch to the class it was leased from. A
 // body that exactly fills its buffer must not grow it past the class while
