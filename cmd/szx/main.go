@@ -49,7 +49,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -57,6 +56,7 @@ import (
 
 	szx "repro"
 	"repro/internal/core"
+	"repro/internal/wireconv"
 	"repro/telemetry"
 )
 
@@ -184,7 +184,9 @@ func main() {
 			runStreamCompress(*in, *out, opt, *chunkVals, *workers, *quiet)
 			return
 		}
-		runCompress(*in, *out, opt, *dtype, *quiet)
+		if code, err := runCompress(*in, *out, opt, *dtype, *quiet); err != nil {
+			fail(code, "%v", err)
+		}
 	case *decompress:
 		if *out == "" {
 			fail(exitUsage, "missing -o output file")
@@ -300,9 +302,7 @@ func runStreamCompress(inPath, outPath string, opt szx.Options, chunkVals, worke
 			}
 			inBytes += int64(n)
 			nv := n / 4
-			for i := 0; i < nv; i++ {
-				vals[i] = math.Float32frombits(binary.LittleEndian.Uint32(rawChunk[4*i:]))
-			}
+			wireconv.Decode(vals[:nv], rawChunk)
 			if werr := pw.Write(vals[:nv]); werr != nil {
 				failErr(werr)
 			}
@@ -331,28 +331,37 @@ func runStreamCompress(inPath, outPath string, opt szx.Options, chunkVals, worke
 	}
 }
 
-func runCompress(inPath, outPath string, opt szx.Options, dtype string, quiet bool) {
-	raw, err := os.ReadFile(inPath)
-	if err != nil {
-		fail(exitIO, "%v", err)
-	}
-	var comp []byte
-	var st szx.Stats
-	start := time.Now()
+// runCompress compresses the raw little-endian file at inPath into one SZx
+// stream at outPath. On failure it returns the exit code and the error to
+// report.
+func runCompress(inPath, outPath string, opt szx.Options, dtype string, quiet bool) (int, error) {
 	switch dtype {
 	case "f32":
-		comp, st, err = szx.CompressStats(bytesToF32(raw), opt)
+		return compressFile[float32](inPath, outPath, opt, quiet)
 	case "f64":
-		comp, st, err = szx.CompressFloat64Stats(bytesToF64(raw), opt)
-	default:
-		fail(exitUsage, "unknown type %q", dtype)
+		return compressFile[float64](inPath, outPath, opt, quiet)
 	}
+	return exitUsage, fmt.Errorf("unknown type %q", dtype)
+}
+
+// compressFile is runCompress for values of type T. A trailing partial
+// value is corrupt input, as it is on the streaming path.
+func compressFile[T szx.Float](inPath, outPath string, opt szx.Options, quiet bool) (int, error) {
+	raw, err := os.ReadFile(inPath)
+	if err != nil {
+		return exitIO, err
+	}
+	if rem := len(raw) % wireconv.Size[T](); rem != 0 {
+		return exitCorrupt, fmt.Errorf("input is not a whole number of %T values (%d trailing bytes)", T(0), rem)
+	}
+	start := time.Now()
+	comp, st, err := szx.CompressIntoStats(nil, wireconv.Values[T](nil, raw), opt)
 	elapsed := time.Since(start)
 	if err != nil {
-		failErr(err)
+		return exitCodeFor(err), err
 	}
 	if err := os.WriteFile(outPath, comp, 0o644); err != nil {
-		fail(exitIO, "%v", err)
+		return exitIO, err
 	}
 	if !quiet {
 		fmt.Printf("compressed %d -> %d bytes (CR %.2f) in %v (%.1f MB/s)\n",
@@ -363,6 +372,7 @@ func runCompress(inPath, outPath string, opt szx.Options, dtype string, quiet bo
 				st.TargetRatio, st.Ratio(), st.EffectiveBound, st.RatioProbes, st.RatioConverged)
 		}
 	}
+	return exitOK, nil
 }
 
 func runDecompress(inPath, outPath string, workers int, quiet bool) {
@@ -392,13 +402,13 @@ func runDecompress(inPath, outPath string, workers int, quiet bool) {
 		if derr != nil {
 			failErr(derr)
 		}
-		payload = f64ToBytes(vals)
+		payload = wireconv.Append(nil, vals)
 	} else {
 		vals, derr := szx.DecompressParallel(raw, workers)
 		if derr != nil {
 			failErr(derr)
 		}
-		payload = f32ToBytes(vals)
+		payload = wireconv.Append(nil, vals)
 	}
 	elapsed := time.Since(start)
 	if err := os.WriteFile(outPath, payload, 0o644); err != nil {
@@ -429,9 +439,7 @@ func runStreamDecompress(br io.Reader, inPath, outPath string, workers int, quie
 	var outBytes int64
 	for {
 		n, rerr := pr.Read(vals)
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(rawOut[4*i:], math.Float32bits(vals[i]))
-		}
+		wireconv.Put(rawOut, vals[:n])
 		if n > 0 {
 			if _, werr := bw.Write(rawOut[:4*n]); werr != nil {
 				fail(exitIO, "%v", werr)
@@ -484,35 +492,3 @@ func fail(code int, format string, args ...interface{}) {
 // failErr classifies err (corrupt input vs usage vs I/O) and exits with
 // the matching code.
 func failErr(err error) { fail(exitCodeFor(err), "%v", err) }
-
-func bytesToF32(b []byte) []float32 {
-	out := make([]float32, len(b)/4)
-	for i := range out {
-		out[i] = math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:]))
-	}
-	return out
-}
-
-func f32ToBytes(v []float32) []byte {
-	out := make([]byte, 4*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(x))
-	}
-	return out
-}
-
-func bytesToF64(b []byte) []float64 {
-	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-	}
-	return out
-}
-
-func f64ToBytes(v []float64) []byte {
-	out := make([]byte, 8*len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-	}
-	return out
-}

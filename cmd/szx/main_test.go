@@ -110,3 +110,37 @@ func TestInfoForgedFrameLength(t *testing.T) {
 		t.Fatalf("census %q; want prefix %q and errBound=0.001", out.String(), want)
 	}
 }
+
+// TestCompressTrailingBytes pins szx -z on a file that ends partway into a
+// value: exit 4, as -z -stream gives, instead of a stream that silently
+// drops the partial value. A whole file still compresses every value.
+func TestCompressTrailingBytes(t *testing.T) {
+	dir := t.TempDir()
+	out := filepath.Join(dir, "out.szx")
+	for _, dtype := range []string{"f32", "f64"} {
+		path := filepath.Join(dir, "odd."+dtype)
+		if err := os.WriteFile(path, make([]byte, 4099), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, err := runCompress(path, out, szx.Options{ErrorBound: 1e-3}, dtype, true)
+		if code != exitCorrupt || err == nil || !strings.Contains(err.Error(), "(3 trailing bytes)") {
+			t.Errorf("-t %s, 4099 bytes: exit %d, %v; want exit %d and the trailing-bytes message",
+				dtype, code, err, exitCorrupt)
+		}
+	}
+
+	path := filepath.Join(dir, "whole.f32")
+	if err := os.WriteFile(path, make([]byte, 4096), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, err := runCompress(path, out, szx.Options{ErrorBound: 1e-3}, "f32", true); code != exitOK || err != nil {
+		t.Fatalf("4096 bytes: exit %d, %v", code, err)
+	}
+	var info strings.Builder
+	if code, err := runInfo(out, &info); code != exitOK || err != nil {
+		t.Fatalf("-info: exit %d, %v", code, err)
+	}
+	if !strings.Contains(info.String(), " n=1024 ") {
+		t.Fatalf("-info %q; want n=1024", info.String())
+	}
+}

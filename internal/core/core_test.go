@@ -544,20 +544,6 @@ func TestStatsAccounting(t *testing.T) {
 	}
 }
 
-func TestShard(t *testing.T) {
-	for _, c := range []struct{ n, w int }{{10, 3}, {1, 5}, {100, 7}, {5, 5}, {0, 4}} {
-		b := shard(c.n, c.w)
-		if b[0] != 0 || b[len(b)-1] != c.n {
-			t.Errorf("shard(%d,%d) = %v", c.n, c.w, b)
-		}
-		for i := 1; i < len(b); i++ {
-			if b[i] < b[i-1] {
-				t.Errorf("shard(%d,%d) not monotone: %v", c.n, c.w, b)
-			}
-		}
-	}
-}
-
 // Regression: a NaN hiding in an otherwise-constant block must not be
 // replaced by μ (NaN compares false against min/max, so the radius alone
 // cannot see it).

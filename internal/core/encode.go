@@ -242,8 +242,3 @@ func CompressFloat64(data []float64, errBound float64, opts Options) ([]byte, er
 	out, _, err := appendCompressed[float64, uint64](nil, data, errBound, opts)
 	return out, err
 }
-
-// CompressFloat64Stats is CompressFloat64 but also reports per-run statistics.
-func CompressFloat64Stats(data []float64, errBound float64, opts Options) ([]byte, Stats, error) {
-	return appendCompressed[float64, uint64](nil, data, errBound, opts)
-}

@@ -7,45 +7,6 @@ import (
 	"repro/internal/bitio"
 )
 
-// TestShardBounds checks the shard splitter's invariants for a sweep of
-// (n, workers) shapes, including the degenerate and adversarial ones: the
-// boundaries must start at 0, end at n, be monotonically non-decreasing,
-// and differ by at most one item between the largest and smallest shard.
-func TestShardBounds(t *testing.T) {
-	cases := []struct{ n, workers int }{
-		{0, 1}, {0, 8}, {1, 1}, {1, 16}, {5, 2}, {7, 7}, {7, 8},
-		{100, 3}, {128, 4}, {129, 4}, {1 << 20, 7},
-		{math.MaxInt / 2, 64}, // would overflow the i*n/workers form
-		{math.MaxInt, 3},
-		{10, 0}, {10, -4}, // degenerate worker counts clamp to 1
-	}
-	for _, c := range cases {
-		b := shard(c.n, c.workers)
-		if b[0] != 0 || b[len(b)-1] != c.n {
-			t.Fatalf("shard(%d,%d): bounds [%d..%d], want [0..%d]", c.n, c.workers, b[0], b[len(b)-1], c.n)
-		}
-		if len(b)-1 > c.workers && c.workers >= 1 {
-			t.Fatalf("shard(%d,%d): %d shards exceeds workers", c.n, c.workers, len(b)-1)
-		}
-		mn, mx := math.MaxInt, 0
-		for i := 1; i < len(b); i++ {
-			sz := b[i] - b[i-1]
-			if sz < 0 {
-				t.Fatalf("shard(%d,%d): decreasing boundary at %d", c.n, c.workers, i)
-			}
-			if sz < mn {
-				mn = sz
-			}
-			if sz > mx {
-				mx = sz
-			}
-		}
-		if len(b) > 2 && mx-mn > 1 {
-			t.Fatalf("shard(%d,%d): imbalance %d vs %d", c.n, c.workers, mn, mx)
-		}
-	}
-}
-
 // TestZsizeGuard exercises the uint16 block-size side channel's guard rails:
 // the worst-case payload of a maximum-size block must fit in a uint16 (the
 // compile-time const assertion in format.go mirrors this), and the

@@ -47,34 +47,6 @@ func Workers(n int) int {
 	return n
 }
 
-// shard splits n items into at most workers contiguous ranges of near-equal
-// size. It returns the range boundaries (len = shards+1). The split is
-// computed by accumulation — base items per shard plus one extra for the
-// first n%workers shards — so the arithmetic cannot overflow for any n,
-// unlike the textbook i*n/workers form. (The codec hot paths now use the
-// dynamic chunk engine below; shard remains for callers that want a static
-// partition, e.g. the timeseries fan-out.)
-func shard(n, workers int) []int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	bounds := make([]int, workers+1)
-	base, rem := n/workers, n%workers
-	off := 0
-	for i := 0; i < workers; i++ {
-		bounds[i] = off
-		off += base
-		if i < rem {
-			off++
-		}
-	}
-	bounds[workers] = off
-	return bounds
-}
-
 // --- persistent worker pool ------------------------------------------------
 
 // workerPool is a fixed set of goroutines, started once and reused by every

@@ -18,8 +18,8 @@ func init() {
 
 // Telemetry glue for the codec hot paths. Every helper here is behind the
 // caller's single telemetry.Enabled() check per codec call, so the
-// disabled path pays one atomic load and nothing else; see BENCH_OBS.json
-// for the measured A/B overhead.
+// disabled path pays one atomic load and nothing else; BenchmarkCoreTelemetry
+// measures what enabling it costs.
 
 // recordDecodedBlocks tallies a decoded stream's constant/nonconstant
 // block split from its bitmap (one popcount per 8 blocks; the decoder

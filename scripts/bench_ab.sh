@@ -1,186 +1,120 @@
 #!/usr/bin/env bash
-# bench_ab.sh — interleaved A/B of the codec hot-path benchmarks between the
-# working tree (B) and a baseline git ref (A).
+# bench_ab.sh — paired A/B of the repository benchmark (BENCHMARK.json)
+# between a parent ref and the working tree.
 #
 # Usage:
-#   scripts/bench_ab.sh [baseline-ref] [rounds] [benchtime]
+#   scripts/bench_ab.sh [ref] [pairs] [seed]
 #
-# Defaults: baseline-ref=HEAD~1, rounds=5, benchtime=1s.
+# Defaults: ref=HEAD~1, pairs=10, seed=1. Pass HEAD as ref to measure
+# uncommitted edits against the commit they sit on.
 #
-# The baseline is materialized in a temporary git worktree so the working
-# tree (including uncommitted changes) is never touched. Rounds alternate
-# A,B,A,B,... rather than running all of A then all of B, so slow drift in
-# machine load (thermal, background daemons) hits both sides equally.
+# The parent is checked out in a temporary git worktree, so the change side
+# is the working tree as it stands, uncommitted edits included. Workloads,
+# run length, end-to-end metrics, their direction and their bounds all come
+# from BENCHMARK.json. Each pair runs every workload once per side, on the
+# same seed with tracing off; the side that runs first swaps every pair, so
+# drift in machine load hits both sides alike. Every result line is appended
+# to .bench_build/ab/collected.jsonl, tagged with run, pair, side, workload.
 #
-# Results go through benchstat when it is on PATH; otherwise a small awk
-# comparator prints per-benchmark means and the B/A throughput ratio.
+# Per workload and metric the summary prints both medians, change/parent,
+# the pairs the change won (ties count for neither), the parent's spread
+# (q3 - q1) / median, and any move past the metric's bound. The exit status
+# is 1 if a run failed, an op failed, or a metric got worse past its bound.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-
+ROOT="$PWD"
 REF="${1:-HEAD~1}"
-ROUNDS="${2:-5}"
-BENCHTIME="${3:-1s}"
-PATTERN="${BENCH_PATTERN:-BenchmarkCore(Compress|Decompress)(Parallel)?Into}"
+PAIRS="${2:-10}"
+SEED="${3:-1}"
 
 if ! git rev-parse --verify --quiet "$REF^{commit}" >/dev/null; then
-    echo "bench_ab: baseline ref '$REF' does not resolve to a commit" >&2
+    echo "bench_ab: ref '$REF' does not resolve to a commit" >&2
     exit 1
 fi
 
-work="$(mktemp -d)"
-trap 'git worktree remove --force "$work/base" 2>/dev/null || true; rm -rf "$work"' EXIT
-git worktree add --quiet --detach "$work/base" "$REF"
+mkdir -p .bench_build/ab
+BASE="$(mktemp -d "$ROOT/.bench_build/ab/base.XXXXXX")"
+trap 'git worktree remove --force "$BASE" 2>/dev/null || rm -rf "$BASE"; git worktree prune' EXIT
+git worktree add --quiet --detach "$BASE" "$REF"
 
-A="$work/a.txt" # baseline
-B="$work/b.txt" # working tree
-: >"$A"
-: >"$B"
+python3 - "$BASE" "$ROOT" "$(git rev-parse --short "$REF")" "$PAIRS" "$SEED" <<'PY'
+import json, statistics, subprocess, sys, time
 
-echo "bench_ab: baseline=$(git rev-parse --short "$REF") rounds=$ROUNDS benchtime=$BENCHTIME" >&2
-for ((i = 1; i <= ROUNDS; i++)); do
-    echo "bench_ab: round $i/$ROUNDS (A: baseline)" >&2
-    (cd "$work/base" && go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" ./internal/core) >>"$A"
-    echo "bench_ab: round $i/$ROUNDS (B: working tree)" >&2
-    go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" ./internal/core >>"$B"
-done
+base, change, ref, pairs, seed = sys.argv[1], sys.argv[2], sys.argv[3], int(sys.argv[4]), sys.argv[5]
+bench = json.load(open(change + "/BENCHMARK.json"))
+workloads = [w["name"] for w in bench["workloads"]]
+metrics = bench["end_to_end"]
+dirs = {"parent": base, "change": change}
+run_id = time.strftime("%Y%m%dT%H%M%SZ", time.gmtime())
+log = open(change + "/.bench_build/ab/collected.jsonl", "a")
+results = {}  # (workload, side) -> [result or None per pair]
+hosts = set()
 
-if command -v benchstat >/dev/null 2>&1; then
-    benchstat "old=$A" "new=$B"
-else
-    echo "bench_ab: benchstat not found; falling back to mean comparison" >&2
-    awk '
-        FNR == 1 { file++ }
-        /^Benchmark/ {
-            for (i = 3; i <= NF; i++) {
-                if ($i == "MB/s") {
-                    name = $1
-                    mbs = $(i - 1)
-                    if (file == 1) { asum[name] += mbs; an[name]++ }
-                    else           { bsum[name] += mbs; bn[name]++ }
-                    seen[name] = 1
-                    break
-                }
-            }
-        }
-        END {
-            printf "%-45s %12s %12s %8s\n", "benchmark", "old MB/s", "new MB/s", "ratio"
-            for (name in seen) {
-                if (an[name] && bn[name]) {
-                    a = asum[name] / an[name]
-                    b = bsum[name] / bn[name]
-                    printf "%-45s %12.2f %12.2f %7.2fx\n", name, a, b, b / a
-                }
-            }
-        }
-    ' "$A" "$B" | sort
-fi
 
-# Wall-clock breakdown for the working tree: szxbench -obs interleaves
-# telemetry-disabled/enabled rounds on the serial hot paths and reports the
-# per-stage means from the telemetry timers alongside the overhead numbers,
-# so an A/B run also says *where* the time goes. Skip with BENCH_OBS=0.
-if [[ "${BENCH_OBS:-1}" != 0 ]]; then
-    echo "bench_ab: telemetry overhead + stage breakdown (working tree)" >&2
-    go run ./cmd/szxbench -obs - -benchtime "$BENCHTIME"
-fi
+def run(side, workload, pair):
+    args = bench["command"] + ["--workload", workload, "--seed", seed,
+                               "--seconds", str(bench["run_seconds"]), "--trace", "0"]
+    print("bench_ab: pair %d/%d %s %s" % (pair + 1, pairs, workload, side), file=sys.stderr, flush=True)
+    proc = subprocess.run(args, cwd=dirs[side], stdout=subprocess.PIPE, text=True)
+    lines = proc.stdout.strip().splitlines()
+    res = None
+    if proc.returncode == 0 and lines and not lines[-1].startswith("#"):
+        res = json.loads(lines[-1])
+    hosts.update(l[len("# host: "):] for l in lines if l.startswith("# host: "))
+    rec = {"run": run_id, "ref": ref, "seed": int(seed), "pair": pair + 1, "side": side,
+           "workload": workload, "exit": proc.returncode, "result": res}
+    log.write(json.dumps(rec) + "\n")
+    log.flush()
+    results.setdefault((workload, side), []).append(res)
 
-# Streaming dump/load A/B for the working tree: serial Writer/Reader vs the
-# pipelined engine over file, simulated-PFS, and balanced sinks (the
-# BENCH_STREAM.json workload). Skip with BENCH_STREAM=0.
-if [[ "${BENCH_STREAM:-1}" != 0 ]]; then
-    echo "bench_ab: streaming serial-vs-pipelined A/B (working tree)" >&2
-    go run ./cmd/szxbench -stream - -benchtime "$BENCHTIME"
-fi
 
-# Service A/B: the szxd load generator (the BENCH_SERVE.json workload) run
-# interleaved between the baseline worktree and the working tree, same
-# A,B,A,B discipline as the codec benchmarks. The headline comparison is
-# the 1-client 8 MiB row (levels[0].mb_s) — the "batching must not tax
-# large one-shot requests" guard — plus the working tree's small-payload
-# oneshot-vs-batch64 ratios when present. Skip with BENCH_SERVE=0; rounds
-# default to 3 (override with SERVE_ROUNDS) because each round runs the
-# full level sweep on both sides.
-if [[ "${BENCH_SERVE:-1}" != 0 ]]; then
-    SERVE_ROUNDS="${SERVE_ROUNDS:-3}"
-    echo "bench_ab: szxd service A/B (interleaved, $SERVE_ROUNDS rounds)" >&2
-    for ((i = 1; i <= SERVE_ROUNDS; i++)); do
-        echo "bench_ab: serve round $i/$SERVE_ROUNDS (A: baseline)" >&2
-        (cd "$work/base" && go run ./cmd/szxbench -serve "$work/serve_a_$i.json" -benchtime "$BENCHTIME")
-        echo "bench_ab: serve round $i/$SERVE_ROUNDS (B: working tree)" >&2
-        go run ./cmd/szxbench -serve "$work/serve_b_$i.json" -benchtime "$BENCHTIME"
-    done
-    python3 - "$work" "$SERVE_ROUNDS" <<'PY'
-import json, sys
-work, rounds = sys.argv[1], int(sys.argv[2])
+for pair in range(pairs):
+    order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
+    for workload in workloads:
+        for side in order:
+            run(side, workload, pair)
 
-def rows(side):
-    out = []
-    for i in range(1, rounds + 1):
-        try:
-            out.append(json.load(open(f"{work}/serve_{side}_{i}.json")))
-        except FileNotFoundError:
-            pass
-    return out
-
-a, b = rows("a"), rows("b")
-mean = lambda xs: sum(xs) / len(xs) if xs else 0.0
-am = mean([r["levels"][0]["mb_s"] for r in a])
-bm = mean([r["levels"][0]["mb_s"] for r in b])
-if am:
-    print(f"serve 8 MiB one-shot (1 client): old {am:.2f} MB/s  new {bm:.2f} MB/s  "
-          f"ratio {bm/am:.3f}x ({(bm/am-1)*100:+.1f}%)")
-small = {}
-for r in b:
-    for lvl in r.get("small_levels", []):
-        small.setdefault((lvl["size_bytes"], lvl["mode"]), []).append(lvl["arrays_per_s"])
-for size in sorted({k[0] for k in small}):
-    one = mean(small.get((size, "oneshot"), []))
-    b64 = mean(small.get((size, "batch64"), []))
-    if one and b64:
-        print(f"serve {size >> 10:3d} KiB: oneshot {one:9.1f} arrays/s  "
-              f"batch64 {b64:9.1f} arrays/s  ratio {b64/one:.2f}x")
+bad = False
+print("A/B: parent %s vs working tree, %d pairs, seed %s, %d s runs, run %s"
+      % (ref, pairs, seed, bench["run_seconds"], run_id))
+for h in sorted(hosts):
+    print("host: " + h)
+for workload in workloads:
+    print("\n%s" % workload)
+    for side in ("parent", "change"):
+        rs = results[(workload, side)]
+        ok = [r for r in rs if r is not None]
+        att, fail = sum(r["attempted"] for r in ok), sum(r["failed"] for r in ok)
+        wrong = sum(1 for r in ok if not r["correct"])
+        print("  %-6s runs: %d of %d ok; ops: %d attempted, %d failed; %d runs incorrect"
+              % (side, len(ok), len(rs), att, fail, wrong))
+        bad |= len(ok) < len(rs) or fail > 0 or wrong > 0
+    print("  %-18s %12s %12s %8s %6s %7s %6s" % ("metric", "parent", "change", "ratio", "won", "spread", "bound"))
+    for m in metrics:
+        name, bound, higher = m["name"], m["bound"], m["better"] == "higher"
+        pv = [r["metrics"][name]["value"] if r and name in r["metrics"] else None
+              for r in results[(workload, "parent")]]
+        cv = [r["metrics"][name]["value"] if r and name in r["metrics"] else None
+              for r in results[(workload, "change")]]
+        pairs_ok = [(p, c) for p, c in zip(pv, cv) if p is not None and c is not None]
+        if not pairs_ok:
+            print("  %-18s no paired results" % name)
+            continue
+        ps, cs = [p for p, _ in pairs_ok], [c for _, c in pairs_ok]
+        pm, cm = statistics.median(ps), statistics.median(cs)
+        won = sum(1 for p, c in pairs_ok if (c > p if higher else c < p))
+        spread = float("nan")
+        if len(ps) > 1 and pm:
+            q1, _, q3 = statistics.quantiles(ps, n=4)
+            spread = (q3 - q1) / pm
+        ratio = cm / pm if pm else float("nan")
+        moved = ""
+        if pm and abs(ratio - 1) > bound:
+            worse = (ratio < 1) if higher else (ratio > 1)
+            moved = "%s past %g" % ("WORSE" if worse else "better", bound)
+            bad |= worse
+        print(("  %-18s %12.6g %12.6g %8.4f %3d/%-2d %7.4f %6g  %s"
+               % (name, pm, cm, ratio, won, len(pairs_ok), spread, bound, moved)).rstrip())
+sys.exit(1 if bad else 0)
 PY
-fi
-
-# Fixed-ratio bound-search sweep for the working tree: target-ratio search
-# over the synthetic corpus (the BENCH_RATIO.json workload) — probe counts,
-# search time, convergence rate, achieved-vs-target error. Skip with
-# BENCH_RATIO=0.
-if [[ "${BENCH_RATIO:-1}" != 0 ]]; then
-    echo "bench_ab: fixed-ratio bound-search sweep (working tree)" >&2
-    go run ./cmd/szxbench -ratio BENCH_RATIO.json -scale 16
-    python3 - <<'PY' 2>/dev/null || cat BENCH_RATIO.json
-import json
-r = json.load(open("BENCH_RATIO.json"))
-print(f"ratio sweep: {r['cases']} cases, converged {100*r['converged_rate']:.1f}%, "
-      f"mean probes {r['mean_probes']}, max {r['max_probes']}, "
-      f"mean |achieved-target| {r['mean_abs_err_pct']}%")
-PY
-fi
-
-# Cluster routing sweep for the working tree: 1- vs 3-node in-process
-# fleets under hash / least-loaded routing (the BENCH_CLUSTER.json
-# workload) — failed/shed/retry counts and p50/p99 per level. Skip with
-# BENCH_CLUSTER=0.
-if [[ "${BENCH_CLUSTER:-1}" != 0 ]]; then
-    echo "bench_ab: cluster routing sweep (working tree)" >&2
-    go run ./cmd/szxbench -cluster BENCH_CLUSTER.json -benchtime "$BENCHTIME"
-    python3 - <<'PY' 2>/dev/null || cat BENCH_CLUSTER.json
-import json
-r = json.load(open("BENCH_CLUSTER.json"))
-for l in r["levels"]:
-    print(f"cluster {l['nodes']} node(s) {l['policy']:>12}: {l['requests']:4d} ok "
-          f"{l['failed']:2d} failed  shed {l['shed']:3d}  retries {l['retries']:3d}  "
-          f"p50 {l['p50_ms']:.1f}ms p99 {l['p99_ms']:.1f}ms  {l['mb_s']:.1f} MB/s")
-PY
-fi
-
-# Kernel-level sweep for the working tree: per-kernel ns/block for the
-# generic vs CPU-dispatched implementation sets plus the end-to-end serial
-# A/B between them (the BENCH_KERNEL.json workload). Skip with
-# BENCH_KERNEL=0.
-if [[ "${BENCH_KERNEL:-1}" != 0 ]]; then
-    echo "bench_ab: kernel generic-vs-dispatched sweep (working tree)" >&2
-    go run ./cmd/szxbench -kernel BENCH_KERNEL.json -benchtime "$BENCHTIME"
-fi

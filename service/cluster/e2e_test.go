@@ -13,7 +13,9 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -22,6 +24,7 @@ import (
 	"repro/service"
 	"repro/service/client"
 	"repro/service/cluster"
+	"repro/telemetry"
 )
 
 // node is one in-process szxd: a service.Server behind its own
@@ -272,6 +275,66 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 			t.Fatalf("killed node still routable in peer view: %+v", cc.Peers())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestExternalFleet drives an already-running szxd fleet, whose URLs
+// SZX_FLEET lists comma-separated, and skips when it is unset: 8 clients
+// send 8 MiB compress requests for 10 s through a least-loaded, retrying
+// ClusterClient, and any failed request fails the test. The cluster-smoke
+// CI job kills one node with SIGKILL partway through, so a pass means the
+// retries absorbed the kill.
+func TestExternalFleet(t *testing.T) {
+	fleet := os.Getenv("SZX_FLEET")
+	if fleet == "" {
+		t.Skip("SZX_FLEET is unset: no external szxd fleet to drive")
+	}
+	cc, err := client.NewCluster(client.ClusterConfig{
+		Nodes:        strings.Split(fleet, ","),
+		Policy:       client.PolicyLeastLoaded,
+		Retry:        client.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
+		RetryBudget:  0.5,
+		PollInterval: 100 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer cc.Close()
+
+	const clients = 8
+	vals := testField(2<<20, 1)
+	p := client.Params{ErrorBound: 1e-3}
+	ctx := context.Background()
+	cc.Membership().PollOnce(ctx)
+	retries0 := telemetry.ClusterRetries.Load()
+
+	var (
+		requests atomic.Int64
+		mu       sync.Mutex
+		errs     []error
+		wg       sync.WaitGroup
+		deadline = time.Now().Add(10 * time.Second)
+	)
+	for range clients {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for time.Now().Before(deadline) {
+				requests.Add(1)
+				if _, err := cc.Compress(ctx, vals, p); err != nil {
+					mu.Lock()
+					errs = append(errs, err)
+					mu.Unlock()
+					time.Sleep(2 * time.Millisecond)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	t.Logf("%d requests, %d failed, %d retries; peers: %+v",
+		requests.Load(), len(errs), telemetry.ClusterRetries.Load()-retries0, cc.Peers())
+	if len(errs) > 0 {
+		t.Fatalf("%d of %d requests failed; first: %v", len(errs), requests.Load(), errs[0])
 	}
 }
 

@@ -8,7 +8,7 @@
 // disabled (the default), instrumented call sites pay one atomic load per
 // codec call — not per block or per value — so the disabled cost is ~1 ns
 // per Compress/Decompress and unmeasurable against multi-megabyte payloads
-// (the A/B numbers live in BENCH_OBS.json). When enabled, per-block and
+// (A/B: internal/core's BenchmarkCoreTelemetry). When enabled, per-block and
 // per-value statistics are tallied into plain (non-atomic) thread-local
 // structs and flushed to the shared atomics once per worker per call, so
 // the enabled path stays race-free under the parallel engine without
