@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/telemetry"
 )
@@ -28,6 +26,9 @@ import (
 const (
 	archiveMagic   = "SZXA"
 	archiveVersion = 1
+	// archiveMaxDims is the most dims a field may have; the writer and the
+	// reader both enforce it.
+	archiveMaxDims = 8
 )
 
 // Archive errors.
@@ -35,31 +36,18 @@ var (
 	ErrArchive       = errors.New("szx: malformed archive")
 	ErrFieldExists   = errors.New("szx: field already in archive")
 	ErrFieldNotFound = errors.New("szx: field not in archive")
-	ErrFieldDims     = errors.New("szx: dims product does not match data length")
+	ErrFieldDims     = errors.New("szx: field dims must be 1 to 8 positive values whose product is the data length")
 )
 
 // ArchiveWriter accumulates compressed fields. Compression stages through
 // one reused scratch buffer (each stored payload is then an exact-size
 // copy), so adding many fields allocates no growth slack per field.
-//
-// A pipelined writer (NewPipelinedArchiveWriter) compresses fields
-// concurrently: AddField returns as soon as the field is enqueued, up to
-// the configured number of compressions run in flight, and Bytes/WriteTo/
-// Flush wait for all of them. TOC order stays the Add order either way.
+// Options.Workers spreads each field's blocks over the parallel engine.
 type ArchiveWriter struct {
 	opt     Options
 	names   map[string]bool
-	fields  []*archiveField
-	scratch []byte // serial-path compressed staging, reused across fields
-
-	// Pipelined mode (par > 0): sem bounds in-flight compressions, pool
-	// recycles per-worker staging buffers, firstErr pins the first failure.
-	par      int
-	sem      chan struct{}
-	wg       sync.WaitGroup
-	mu       sync.Mutex
-	firstErr error
-	pool     sync.Pool
+	fields  []archiveField
+	scratch []byte // compressed staging, reused across fields
 }
 
 type archiveField struct {
@@ -76,28 +64,9 @@ func NewArchiveWriter(opt Options) *ArchiveWriter {
 	return &ArchiveWriter{opt: opt, names: make(map[string]bool)}
 }
 
-// NewPipelinedArchiveWriter returns a writer that compresses added fields
-// concurrently, up to workers (≤0 = GOMAXPROCS) at a time, overlapping the
-// per-field compressions of a multi-field snapshot dump. AddField blocks
-// only when the pipeline is full (bounded memory: at most workers
-// compressed payloads staging at once). The caller must keep each field's
-// data slice unmodified until Flush, Bytes, or WriteTo returns; the first
-// compression error is pinned and reported by those calls and by
-// subsequent AddField calls.
-func NewPipelinedArchiveWriter(opt Options, workers int) *ArchiveWriter {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return &ArchiveWriter{
-		opt:   opt,
-		names: make(map[string]bool),
-		par:   workers,
-		sem:   make(chan struct{}, workers),
-	}
-}
-
-// AddField compresses and stores one named float32 field. dims must
-// multiply to len(data); names must be unique and non-empty.
+// AddField compresses and stores one named float32 field. dims (one to
+// eight of them) must multiply to len(data); names must be unique and
+// non-empty.
 func (aw *ArchiveWriter) AddField(name string, dims []int, data []float32) error {
 	return AddArchiveField(aw, name, dims, data)
 }
@@ -112,8 +81,6 @@ func (aw *ArchiveWriter) AddFieldFloat64(name string, dims []int, data []float64
 // AddArchiveField compresses and stores one named field of either element
 // type. It is a free function because Go methods cannot take type
 // parameters; AddField and AddFieldFloat64 are its pinned instantiations.
-// On a pipelined writer the compression may still be in flight when it
-// returns; data must stay unmodified until Flush/Bytes/WriteTo.
 func AddArchiveField[T Float](aw *ArchiveWriter, name string, dims []int, data []T) error {
 	return aw.add(name, dims, len(data), func(dst []byte) ([]byte, error) {
 		return CompressInto[T](dst, data, aw.opt)
@@ -127,84 +94,33 @@ func (aw *ArchiveWriter) add(name string, dims []int, n int, compress func(dst [
 	if aw.names[name] {
 		return ErrFieldExists
 	}
-	if p, ok := dimsProduct(dims); !ok || len(dims) == 0 || p != n {
+	if p, ok := dimsProduct(dims); !ok || len(dims) == 0 || len(dims) > archiveMaxDims || p != n {
 		return ErrFieldDims
 	}
-	f := &archiveField{name: name, dims: append([]int(nil), dims...)}
-	if aw.par > 0 {
-		if err := aw.Err(); err != nil {
-			return err
-		}
-		aw.names[name] = true
-		aw.fields = append(aw.fields, f) // field order = Add order; payload lands later
-		aw.sem <- struct{}{}             // backpressure: at most par compressions in flight
-		aw.wg.Add(1)
-		go func() {
-			defer aw.wg.Done()
-			defer func() { <-aw.sem }()
-			var scratch []byte
-			if s, ok := aw.pool.Get().(*[]byte); ok {
-				scratch = *s
-			}
-			comp, err := compress(scratch[:0])
-			if err != nil {
-				aw.mu.Lock()
-				if aw.firstErr == nil {
-					aw.firstErr = fmt.Errorf("szx: archive field %q: %w", f.name, err)
-				}
-				aw.mu.Unlock()
-				return
-			}
-			f.payload = append(make([]byte, 0, len(comp)), comp...)
-			aw.pool.Put(&comp)
-			if telemetry.Enabled() {
-				telemetry.ArchiveFieldsWritten.Inc()
-			}
-		}()
-		return nil
-	}
-	// Serial path: compress into the shared scratch, then store an
-	// exact-size copy so payloads carry no append growth slack.
+	// Compress into the shared scratch, then store an exact-size copy so
+	// payloads carry no append growth slack.
 	comp, err := compress(aw.scratch[:0])
 	if err != nil {
 		return err
 	}
 	aw.scratch = comp
-	f.payload = append(make([]byte, 0, len(comp)), comp...)
 	aw.names[name] = true
-	aw.fields = append(aw.fields, f)
+	aw.fields = append(aw.fields, archiveField{
+		name:    name,
+		dims:    append([]int(nil), dims...),
+		payload: append(make([]byte, 0, len(comp)), comp...),
+	})
 	if telemetry.Enabled() {
 		telemetry.ArchiveFieldsWritten.Inc()
 	}
 	return nil
 }
 
-// Err returns the first in-flight compression error recorded so far
-// (always nil for serial writers; Flush is the synchronizing read).
-func (aw *ArchiveWriter) Err() error {
-	aw.mu.Lock()
-	defer aw.mu.Unlock()
-	return aw.firstErr
-}
-
-// Flush waits for every in-flight field compression of a pipelined writer
-// and returns the first error any of them hit. On a serial writer it
-// returns nil immediately.
-func (aw *ArchiveWriter) Flush() error {
-	aw.wg.Wait()
-	return aw.Err()
-}
-
 // NumFields returns how many fields have been added.
 func (aw *ArchiveWriter) NumFields() int { return len(aw.fields) }
 
-// Bytes serializes the archive. On a pipelined writer it first waits for
-// in-flight compressions and returns nil if any failed (use Flush to
-// retrieve the error).
+// Bytes serializes the archive.
 func (aw *ArchiveWriter) Bytes() []byte {
-	if err := aw.Flush(); err != nil {
-		return nil
-	}
 	size := 9
 	for _, f := range aw.fields {
 		size += 2 + len(f.name) + 1 + 8*len(f.dims) + 8 + len(f.payload)
@@ -241,12 +157,8 @@ func (aw *ArchiveWriter) appendTOC(out []byte) []byte {
 
 // WriteTo streams the serialized archive to w — the header and TOC in one
 // buffered write, then each payload directly — without materializing the
-// whole blob the way Bytes does. It waits for in-flight compressions
-// (pipelined writers) and produces bytes identical to Bytes.
+// whole blob the way Bytes does. It produces bytes identical to Bytes.
 func (aw *ArchiveWriter) WriteTo(w io.Writer) (int64, error) {
-	if err := aw.Flush(); err != nil {
-		return 0, err
-	}
 	hdr := make([]byte, 0, 256)
 	hdr = append(hdr, archiveMagic...)
 	hdr = append(hdr, archiveVersion)
@@ -313,7 +225,7 @@ func OpenArchive(data []byte) (*Archive, error) {
 		pos += nameLen
 		ndims := int(data[pos])
 		pos++
-		if ndims < 1 || ndims > 8 || pos+8*ndims+8 > len(data) {
+		if ndims < 1 || ndims > archiveMaxDims || pos+8*ndims+8 > len(data) {
 			return nil, ErrArchive
 		}
 		dims := make([]int, ndims)

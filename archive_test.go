@@ -113,6 +113,10 @@ func TestArchiveWriterErrors(t *testing.T) {
 	if err := aw.AddField("x", nil, data); err != ErrFieldDims {
 		t.Errorf("nil dims: %v", err)
 	}
+	// OpenArchive rejects more than 8 dims, so the writer must too.
+	if err := aw.AddField("x", []int{100, 1, 1, 1, 1, 1, 1, 1, 1}, data); err != ErrFieldDims {
+		t.Errorf("9 dims: %v", err)
+	}
 	if err := aw.AddField("x", []int{100}, data); err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +258,7 @@ func TestArchiveFloat64Dims(t *testing.T) {
 	}
 }
 
-// BenchmarkArchiveWriter pins the satellite fix: the serial archive writer
+// BenchmarkArchiveWriter pins the satellite fix: the archive writer
 // reuses one compressed-scratch buffer across fields, so allocations per
 // archive stay flat no matter how many fields are added (one exact-size
 // payload copy per field, no per-field scratch growth).
@@ -282,27 +286,4 @@ func BenchmarkArchiveWriter(b *testing.B) {
 var names16 = []string{
 	"f00", "f01", "f02", "f03", "f04", "f05", "f06", "f07",
 	"f08", "f09", "f10", "f11", "f12", "f13", "f14", "f15",
-}
-
-// BenchmarkArchiveWriterPipelined is the concurrent counterpart, for the
-// serial-vs-pipelined A/B on archive builds.
-func BenchmarkArchiveWriterPipelined(b *testing.B) {
-	const nFields, nVals = 16, 1 << 14
-	data := make([][]float32, nFields)
-	for i := range data {
-		data[i] = testField(nVals, int64(100+i))
-	}
-	b.ReportAllocs()
-	b.SetBytes(int64(nFields * nVals * 4))
-	for b.Loop() {
-		aw := NewPipelinedArchiveWriter(Options{ErrorBound: 1e-3}, 0)
-		for i, d := range data {
-			if err := aw.AddField(names16[i], []int{nVals}, d); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if aw.Bytes() == nil {
-			b.Fatal("empty archive")
-		}
-	}
 }

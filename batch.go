@@ -26,8 +26,9 @@ import (
 // capacity is reused, so a warm caller allocates nothing). opt.Workers
 // controls cross-array parallelism — arrays are distributed over the
 // persistent worker pool and each array encodes serially within its worker.
-// Batches whose total payload is below the adaptive engine's serial
-// threshold run inline on the caller.
+// The engine's serial-fallback policy decides on the batch's total payload:
+// a batch below its threshold, or in a process with one P, runs inline on
+// the caller.
 //
 // The returned slices are outs and errs grown to length len(arrays);
 // errs[i] != nil marks array i failed (its outs[i] is left empty).
@@ -47,31 +48,20 @@ func CompressBatch[T Float](outs [][]byte, errs []error, arrays [][]T, opt Optio
 		}
 		return outs, errs
 	}
-	w := opt.workers()
-	if w > n {
-		w = n
-	}
-	es := ieee.Width[T]()
 	total := 0
 	for _, a := range arrays {
 		total += len(a)
 	}
-	if core.ParallelMinBytes > 0 && es*total < core.ParallelMinBytes {
-		w = 1
-	}
+	w := core.Participants(coreWorkers(opt.Workers), n, ieee.Width[T]()*total)
 	aopt := opt
-	aopt.Workers = 0 // the array is the parallel unit; each encodes serially
-	aopt.Spans = nil // per-array spans would interleave arbitrarily
+	aopt.Workers = WorkersSerial // the array is the parallel unit
+	aopt.Spans = nil             // per-array spans would interleave arbitrarily
 
 	// Fixed-ratio batches lease one probe scratch per participant up front,
 	// so the per-array bound searches run concurrently on warm buffers.
 	var rss []*ratioScratch
 	if opt.TargetRatio > 0 {
-		parts := w
-		if parts < 1 {
-			parts = 1
-		}
-		rss = make([]*ratioScratch, parts)
+		rss = make([]*ratioScratch, w)
 		for i := range rss {
 			rss[i] = getRatioScratch()
 		}
@@ -99,9 +89,10 @@ func CompressBatch[T Float](outs [][]byte, errs []error, arrays [][]T, opt Optio
 
 // DecompressBatch decompresses each stream independently, appending array
 // i's values onto outs[i][:0] (capacity reused, as in CompressBatch).
-// workers controls cross-array parallelism (WorkersAuto = GOMAXPROCS); each
-// stream decodes serially within its worker. A stream whose element type
-// does not match T fails that array alone with ErrWrongType.
+// workers controls cross-array parallelism (WorkersAuto = GOMAXPROCS) under
+// the same policy as CompressBatch, keyed on decoded bytes; each stream
+// decodes serially within its worker. A stream whose element type does not
+// match T fails that array alone with ErrWrongType.
 func DecompressBatch[T Float](outs [][]T, errs []error, comps [][]byte, workers int) ([][]T, []error) {
 	n := len(comps)
 	outs = growBatch(outs, n)
@@ -112,26 +103,17 @@ func DecompressBatch[T Float](outs [][]T, errs []error, comps [][]byte, workers 
 	if n == 0 {
 		return outs, errs
 	}
-	if workers == WorkersAuto {
-		workers = core.Workers(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	// The adaptive threshold keys on decoded bytes: headers are cheap to
-	// parse and give the exact output size (unparseable streams contribute
-	// nothing — they fail per-array below either way).
-	es := ieee.Width[T]()
+	// Headers are cheap to parse and give the exact decoded size
+	// (unparseable streams contribute nothing — they fail per-array below
+	// either way).
 	total := 0
 	for _, c := range comps {
 		if h, err := Info(c); err == nil {
-			total += es * h.N
+			total += h.N
 		}
 	}
-	if core.ParallelMinBytes > 0 && total < core.ParallelMinBytes {
-		workers = 1
-	}
-	core.BatchRun(n, workers, func(_, i int) {
+	w := core.Participants(coreWorkers(workers), n, ieee.Width[T]()*total)
+	core.BatchRun(n, w, func(_, i int) {
 		out, err := core.DecompressInto(outs[i][:0], comps[i])
 		if err != nil {
 			errs[i] = err

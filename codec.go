@@ -51,13 +51,7 @@ func (c *Codec[T]) Compress(data []T) ([]byte, error) {
 // and returns it. The result is valid until the next call on c. The
 // Codec's Workers option selects serial or block-parallel decoding.
 func (c *Codec[T]) Decompress(comp []byte) ([]T, error) {
-	var out []T
-	var err error
-	if w := c.opt.workers(); w > 1 {
-		out, err = DecompressParallelInto(c.vals[:0], comp, w)
-	} else {
-		out, err = DecompressInto(c.vals[:0], comp)
-	}
+	out, err := DecompressParallelInto(c.vals[:0], comp, c.opt.Workers)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +68,5 @@ func (c *Codec[T]) CompressInto(dst []byte, data []T) ([]byte, error) {
 // DecompressInto is the package-level DecompressInto (worker count from the
 // Codec's options); it appends to the caller's buffer.
 func (c *Codec[T]) DecompressInto(dst []T, comp []byte) ([]T, error) {
-	if w := c.opt.workers(); w > 1 {
-		return DecompressParallelInto(dst, comp, w)
-	}
-	return DecompressInto(dst, comp)
+	return DecompressParallelInto(dst, comp, c.opt.Workers)
 }

@@ -193,7 +193,9 @@ func FuzzCompressParallel(f *testing.F) {
 		}
 		ser, serr := CompressInto[float32](nil, f32, opt)
 		for _, w := range workerCounts {
-			par, perr := CompressParallelInto[float32](nil, f32, opt, w)
+			popt := opt
+			popt.Workers = w
+			par, perr := CompressInto[float32](nil, f32, popt)
 			if (serr == nil) != (perr == nil) {
 				t.Fatalf("f32 w=%d: serial/parallel disagree on validity: %v vs %v", w, serr, perr)
 			}

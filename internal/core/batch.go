@@ -1,64 +1,25 @@
 package core
 
-import (
-	"sync"
-	"sync/atomic"
-
-	"repro/telemetry"
-)
-
 // BatchRun executes fn for every item index in [0, items), distributing the
-// items over the persistent worker pool with the same atomic-cursor
-// work-stealing the chunk engine uses: participants claim the next item off
-// a shared counter, so a batch of skewed array sizes rebalances dynamically
-// instead of tail-latencying a static partition. fn receives a stable
-// participant id (0..participants-1) alongside the item index, so callers
-// can keep per-participant scratch without synchronization.
+// items over the persistent worker pool through the engine's fan-out:
+// participants claim the next item off a shared counter, so a batch of
+// skewed array sizes rebalances dynamically instead of tail-latencying a
+// static partition. fn receives a stable participant id
+// (0..participants-1) alongside the item index, so callers can keep
+// per-participant scratch without synchronization.
 //
-// With workers <= 1 (or a single item) everything runs inline on the
-// calling goroutine and the pool is never touched — the batch analogue of
-// the serial-fallback policy, for callers that already know the batch is
-// too small to amortize a handoff. BatchRun returns only after every item
-// has completed.
+// BatchRun takes workers as given, capped at items; it applies no policy
+// of its own. With workers <= 1 (or a single item) everything runs inline
+// on the calling goroutine and the pool is never touched. Callers that want
+// the engine's serial fallback ask Participants first, as the root batch
+// entry points do. BatchRun returns only after every item has completed.
 func BatchRun(items, workers int, fn func(worker, item int)) {
-	if items <= 0 {
-		return
-	}
-	if workers > items {
-		workers = items
-	}
+	workers = min(workers, items)
 	if workers <= 1 {
-		for i := 0; i < items; i++ {
+		for i := range items {
 			fn(0, i)
 		}
 		return
 	}
-	rec := telemetry.Enabled()
-	if rec {
-		telemetry.ParallelParticipants.Add(int64(workers))
-	}
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	run := func(id int) {
-		defer wg.Done()
-		claimed := 0
-		for {
-			i := int(cursor.Add(1) - 1)
-			if i >= items {
-				break
-			}
-			claimed++
-			fn(id, i)
-		}
-		if rec {
-			flushWorkerChunks(id, claimed)
-		}
-	}
-	for id := 1; id < workers; id++ {
-		id := id
-		encPool.submit(func() { runStage(rec, "batch", func() { run(id) }) })
-	}
-	runStage(rec, "batch", func() { run(0) })
-	wg.Wait()
+	fanOut("batch", items, workers, true, fn)
 }

@@ -282,12 +282,12 @@ func TestBitIdentityWrappers(t *testing.T) {
 	if !bytes.Equal(c64, g64) {
 		t.Error("CompressFloat64 differs from CompressInto[float64]")
 	}
-	p64, err := CompressFloat64Parallel(d64, e, Options{}, 3)
+	p64, err := CompressParallelInto[float64](nil, d64, e, Options{}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(c64, p64) {
-		t.Error("CompressFloat64Parallel differs from CompressFloat64")
+		t.Error("CompressParallelInto[float64] differs from CompressFloat64")
 	}
 
 	dec32, err := DecompressFloat32(c32)
@@ -305,7 +305,7 @@ func TestBitIdentityWrappers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pdec64, err := DecompressFloat64Parallel(c64, 3)
+	pdec64, err := DecompressParallelInto[float64](nil, c64, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

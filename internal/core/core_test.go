@@ -430,14 +430,14 @@ func TestParallelMatchesSerial64(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := CompressFloat64Parallel(data, 1e-6, Options{}, 7)
+	par, err := CompressParallelInto[float64](nil, data, 1e-6, Options{}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(par) != string(serial) {
 		t.Fatal("parallel stream differs from serial")
 	}
-	dec, err := DecompressFloat64Parallel(par, 5)
+	dec, err := DecompressParallelInto[float64](nil, par, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,14 +29,21 @@ import (
 // changed while no compressions are in flight.
 var ParallelMinBytes = 64 << 10
 
-// serialFaster reports whether the adaptive policy predicts the calling
-// goroutine will beat the work-stealing engine on work bytes: either the
-// input is too small to amortize scheduling, or there is only one P, which
-// makes the engine's two-phase scratch-then-gather copy pure overhead (no
-// second core ever overlaps it). ParallelMinBytes == 0 disables the policy.
-func serialFaster(workBytes int) bool {
-	return ParallelMinBytes > 0 &&
-		(workBytes < ParallelMinBytes || runtime.GOMAXPROCS(0) == 1)
+// Participants is the one place a worker request becomes a participant
+// count: both engines call it, and so do the root batch entry points. A call
+// over items independent work units and workBytes bytes runs on workers
+// participants (0 = GOMAXPROCS), capped at items, or on the calling
+// goroutine alone (1) when that cap leaves fewer than two, when workBytes is
+// below ParallelMinBytes (scheduling would cost more than the work), or when
+// the process has one P (no second core ever overlaps the fan-out, so its
+// handoffs and the engine's scratch-then-gather copy are pure overhead).
+// ParallelMinBytes == 0 disables the byte floor and the one-P rule.
+func Participants(workers, items, workBytes int) int {
+	w := min(Workers(workers), items)
+	if w < 2 || ParallelMinBytes > 0 && (workBytes < ParallelMinBytes || runtime.GOMAXPROCS(0) == 1) {
+		return 1
+	}
+	return w
 }
 
 // Workers resolves a worker-count request: 0 means GOMAXPROCS.
@@ -47,46 +54,111 @@ func Workers(n int) int {
 	return n
 }
 
-// --- persistent worker pool ------------------------------------------------
+// --- the fan-out -------------------------------------------------------------
 
 // workerPool is a fixed set of goroutines, started once and reused by every
-// parallel codec call in the process, so steady-state calls pay a channel
-// handoff per participant instead of a goroutine spawn. Tasks submitted to
-// the pool must be self-terminating (the codec submits work-stealing loops
-// that exit when the shared cursor runs out), so running them on fewer
-// goroutines than submitted is always safe — it only reduces concurrency.
+// fan-out in the process, so steady-state calls pay a channel handoff per
+// participant instead of a goroutine spawn. A participant is a
+// work-stealing loop that exits when the shared cursor runs out, so running
+// them on fewer goroutines than submitted is always safe — it only reduces
+// concurrency.
 type workerPool struct {
 	once  sync.Once
-	tasks chan func()
+	tasks chan participant
+}
+
+// participant is one fan-out loop handed to the pool: fan f's loop as
+// participant id.
+type participant struct {
+	f  *fan
+	id int
 }
 
 var encPool workerPool
 
 func (p *workerPool) start() {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		n = 1
-	}
-	p.tasks = make(chan func(), 4*n)
+	n := max(runtime.GOMAXPROCS(0), 1)
+	p.tasks = make(chan participant, 4*n)
 	for i := 0; i < n; i++ {
 		go func() {
-			for f := range p.tasks {
-				f()
+			for t := range p.tasks {
+				t.f.run(t.id)
 			}
 		}()
 	}
 }
 
-// submit schedules f on the pool. If the pool's queue is full (caller asked
-// for far more participants than the machine has cores), f runs on a fresh
-// goroutine rather than blocking the caller.
-func (p *workerPool) submit(f func()) {
+// submit schedules participant id of f on the pool. If the pool's queue is
+// full (callers asked for far more participants than the machine has
+// cores), the participant runs on a fresh goroutine rather than blocking
+// the caller.
+func (p *workerPool) submit(f *fan, id int) {
 	p.once.Do(p.start)
 	select {
-	case p.tasks <- f:
+	case p.tasks <- participant{f, id}:
 	default:
-		go f()
+		go f.run(id)
 	}
+}
+
+// fan is the shared state of one fanOut call, pooled so that a fan-out
+// allocates nothing of its own.
+type fan struct {
+	fn     func(id, item int)
+	items  int
+	stage  string
+	count  bool // record claims per participant
+	rec    bool // telemetry enabled for this call
+	cursor atomic.Int64
+	wg     sync.WaitGroup
+}
+
+var fanPool = sync.Pool{New: func() any { return new(fan) }}
+
+// fanOut is the only parallel loop in the codec: the engines' encode,
+// gather and decode phases and BatchRun all run through it. It calls
+// fn(id, item) once for every item in [0, items) and returns when all have
+// completed. participants (at least 2) work-stealing loops claim items off
+// one atomic cursor, so a run of slow items slows only the loop that hits
+// it; the calling goroutine is participant 0 and the persistent pool runs
+// the rest. With count set and telemetry enabled, the call adds its
+// participants and each loop's claims to the engine's counters. Under
+// telemetry, profile samples carry the label szx_stage=stage.
+func fanOut(stage string, items, participants int, count bool, fn func(id, item int)) {
+	f := fanPool.Get().(*fan)
+	f.fn, f.items, f.stage, f.count, f.rec = fn, items, stage, count, telemetry.Enabled()
+	f.cursor.Store(0)
+	if f.rec && count {
+		telemetry.ParallelParticipants.Add(int64(participants))
+	}
+	f.wg.Add(participants)
+	for id := 1; id < participants; id++ {
+		encPool.submit(f, id)
+	}
+	f.run(0)
+	f.wg.Wait()
+	f.fn = nil
+	fanPool.Put(f)
+}
+
+// run is participant id's loop. Its wg.Done is its last touch of f, which
+// is what lets fanOut recycle f as soon as Wait returns.
+func (f *fan) run(id int) {
+	claimed := 0
+	runStage(f.rec, f.stage, func() {
+		for {
+			i := int(f.cursor.Add(1) - 1)
+			if i >= f.items {
+				return
+			}
+			claimed++
+			f.fn(id, i)
+		}
+	})
+	if f.rec && f.count {
+		flushWorkerChunks(id, claimed)
+	}
+	f.wg.Done()
 }
 
 // --- pooled scratch --------------------------------------------------------
@@ -95,10 +167,14 @@ func (p *workerPool) submit(f func()) {
 // across calls so that steady-state parallel compression reuses warm buffers
 // instead of allocating per call. payload/sizes/bitmap are appended to as
 // the participant claims chunks; chunkMeta records where each chunk landed.
+// scr and tally are the participant's kernel scratch and block tally for
+// the encode phase.
 type shardScratch struct {
 	payload []byte
 	sizes   []uint16
 	bitmap  []bool
+	scr     *kernels.Scratch
+	tally   telemetry.BlockTally
 }
 
 var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
@@ -108,6 +184,8 @@ func getShardScratch(nblocks, payloadHint int) *shardScratch {
 	o.payload = slices.Grow(o.payload[:0], payloadHint)
 	o.sizes = slices.Grow(o.sizes[:0], nblocks)
 	o.bitmap = slices.Grow(o.bitmap[:0], nblocks)
+	o.scr = kernels.GetScratch()
+	o.tally = telemetry.BlockTally{}
 	return o
 }
 
@@ -121,15 +199,12 @@ type chunkMeta struct {
 	dstOff   int // final offset within the output payload section
 }
 
-// parJob holds the per-call bookkeeping of the work-stealing engine, pooled
-// so the parallel paths allocate only the participant closures per call.
+// parJob holds the per-call bookkeeping of the engines, pooled so the
+// parallel paths allocate only their per-item closures per call.
 type parJob struct {
-	metas  []chunkMeta
-	outs   []*shardScratch
-	errs   []error
-	encode atomic.Int64 // phase-1 chunk cursor
-	gather atomic.Int64 // phase-2 chunk cursor
-	wg     sync.WaitGroup
+	metas []chunkMeta
+	outs  []*shardScratch
+	errs  []error
 }
 
 var parJobPool = sync.Pool{New: func() any { return new(parJob) }}
@@ -139,18 +214,12 @@ func getParJob(nchunks, participants int) *parJob {
 	j.metas = slices.Grow(j.metas[:0], nchunks)[:nchunks]
 	j.outs = slices.Grow(j.outs[:0], participants)[:participants]
 	j.errs = slices.Grow(j.errs[:0], participants)[:participants]
-	for i := range j.errs {
-		j.errs[i] = nil
-	}
-	j.encode.Store(0)
-	j.gather.Store(0)
+	clear(j.errs)
 	return j
 }
 
 func putParJob(j *parJob) {
-	for i := range j.outs {
-		j.outs[i] = nil
-	}
+	clear(j.outs)
 	parJobPool.Put(j)
 }
 
@@ -205,16 +274,14 @@ func putOffs(p *[]int) { offsPool.Put(p) }
 // are stitched in block order (the scheduling therefore never affects the
 // output bytes).
 //
-// The engine is adaptive and two-phase. Inputs below ParallelMinBytes are
-// encoded serially on the caller. Above it, the block range is cut into
-// chunks (a multiple of 8 blocks) claimed from an atomic cursor — dynamic
-// work-stealing, so a run of guard-retried or constant blocks slows only the
-// worker that hits it. After a barrier, the chunk offsets are prefix-summed
-// and the same workers gather: each copies its claimed chunks' payload into
-// the final buffer at its exact offset and fills that chunk's bitmap and
-// zsize entries, replacing the old serial concatenation memcpy with parallel
-// disjoint copies. Participants run on the persistent process-wide pool, not
-// freshly spawned goroutines.
+// The engine is adaptive and two-phase. When Participants says one, the
+// input is encoded serially on the caller. Otherwise the block range is cut
+// into chunks (a multiple of 8 blocks) that fanOut's participants claim off
+// its cursor, each encoding into a private scratch. After that barrier the
+// chunk offsets are prefix-summed and a second fan-out gathers: each chunk's
+// payload is copied into the final buffer at its exact offset and its
+// bitmap and zsize entries filled, so the concatenation is parallel disjoint
+// copies rather than one serial memcpy.
 func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound float64, opts Options, workers int) ([]byte, error) {
 	bs, err := opts.blockSize()
 	if err != nil {
@@ -229,8 +296,9 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	w := Workers(workers)
 	chunk := chunkBlocks(nb, w)
 	nchunks := (nb + chunk - 1) / chunk
+	participants := Participants(w, nchunks, es*len(data))
 	rec := telemetry.Enabled()
-	if w == 1 || nchunks < 2 || serialFaster(es*len(data)) {
+	if participants == 1 {
 		if rec {
 			telemetry.EngineCompressFallback.Inc()
 		}
@@ -243,63 +311,14 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 		telemetry.EngineCompressParallel.Inc()
 	}
 	dstBase := len(dst)
-	participants := w
-	if participants > nchunks {
-		participants = nchunks
-	}
-	if rec {
-		telemetry.ParallelParticipants.Add(int64(participants))
-	}
 
 	j := getParJob(nchunks, participants)
-	payloadHint := es * len(data) / (2 * participants)
-
-	// Phase 1: encode. Each participant steals chunks off the cursor and
-	// appends their payload to its private scratch.
-	encodeWorker := func(id int) {
-		enc := newBlockEncoder[T, B](errBound, !opts.Unguarded)
-		scr := kernels.GetScratch()
-		defer kernels.PutScratch(scr)
-		var tally telemetry.BlockTally
-		if rec {
-			enc.tally = &tally
-		}
-		claimed := 0
-		o := getShardScratch(nb/participants+chunk, payloadHint)
-		j.outs[id] = o
-		for {
-			c := int(j.encode.Add(1) - 1)
-			if c >= nchunks {
-				break
-			}
-			claimed++
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > nb {
-				hi = nb
-			}
-			m := &j.metas[c]
-			m.scratch = id
-			m.off = len(o.payload)
-			m.sizesOff = len(o.sizes)
-			for k := lo; k < hi; k++ {
-				blo, bhi := k*bs, (k+1)*bs
-				if bhi > len(data) {
-					bhi = len(data)
-				}
-				start := len(o.payload)
-				var constant bool
-				o.payload, constant = enc.encodeBlock(o.payload, data[blo:bhi], scr)
-				o.sizes = append(o.sizes, uint16(len(o.payload)-start))
-				o.bitmap = append(o.bitmap, !constant)
-			}
-			m.size = len(o.payload) - m.off
-		}
-		if rec {
-			tally.Flush()
-			flushWorkerChunks(id, claimed)
-		}
-		j.wg.Done()
+	for id := range j.outs {
+		j.outs[id] = getShardScratch(nb/participants+chunk, es*len(data)/(2*participants))
 	}
+
+	// Phase 1: encode. Each participant appends the payload of the chunks
+	// it claims to its private scratch.
 	sink := opts.Spans
 	var phase telemetry.Timer
 	var phaseT0 time.Time
@@ -309,13 +328,32 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	if sink != nil {
 		phaseT0 = time.Now()
 	}
-	j.wg.Add(participants)
-	for id := 1; id < participants; id++ {
-		id := id
-		encPool.submit(func() { runStage(rec, "encode", func() { encodeWorker(id) }) })
+	fanOut("encode", nchunks, participants, true, func(id, c int) {
+		o := j.outs[id]
+		enc := newBlockEncoder[T, B](errBound, !opts.Unguarded)
+		if rec {
+			enc.tally = &o.tally
+		}
+		m := &j.metas[c]
+		m.scratch = id
+		m.off = len(o.payload)
+		m.sizesOff = len(o.sizes)
+		for k := c * chunk; k < min((c+1)*chunk, nb); k++ {
+			start := len(o.payload)
+			var constant bool
+			o.payload, constant = enc.encodeBlock(o.payload, data[k*bs:min((k+1)*bs, len(data))], o.scr)
+			o.sizes = append(o.sizes, uint16(len(o.payload)-start))
+			o.bitmap = append(o.bitmap, !constant)
+		}
+		m.size = len(o.payload) - m.off
+	})
+	for _, o := range j.outs {
+		kernels.PutScratch(o.scr)
+		o.scr = nil
+		if rec {
+			o.tally.Flush()
+		}
 	}
-	runStage(rec, "encode", func() { encodeWorker(0) })
-	j.wg.Wait()
 	if rec {
 		phase.Stop(&telemetry.EncodePhaseDurations)
 	}
@@ -338,46 +376,29 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	payloadOff := len(out)
 	out = out[:payloadOff+total]
 
-	// Phase 2: gather. The same participants steal chunks again and copy
-	// each chunk's payload to its final offset, filling its zsize entries
-	// and bitmap bytes (disjoint per chunk: chunk is a multiple of 8
-	// blocks, so no two chunks share a bitmap byte).
-	gatherWorker := func(id int) {
-		for {
-			c := int(j.gather.Add(1) - 1)
-			if c >= nchunks {
-				break
-			}
-			m := &j.metas[c]
-			o := j.outs[m.scratch]
-			copy(out[payloadOff+m.dstOff:], o.payload[m.off:m.off+m.size])
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > nb {
-				hi = nb
-			}
-			for k := lo; k < hi; k++ {
-				i := m.sizesOff + (k - lo)
-				binary.LittleEndian.PutUint16(out[zsizeOff+2*k:], o.sizes[i])
-				if o.bitmap[i] {
-					out[bitmapOff+(k>>3)] |= 1 << uint(k&7)
-				}
-			}
-		}
-		j.wg.Done()
-	}
+	// Phase 2: gather. Each chunk's payload goes to its final offset, with
+	// its zsize entries and bitmap bytes (disjoint per chunk: chunk is a
+	// multiple of 8 blocks, so no two chunks share a bitmap byte). The
+	// encode phase already counted this call's participants and claims.
 	if rec {
 		phase = telemetry.Start()
 	}
 	if sink != nil {
 		phaseT0 = time.Now()
 	}
-	j.wg.Add(participants)
-	for id := 1; id < participants; id++ {
-		id := id
-		encPool.submit(func() { runStage(rec, "gather", func() { gatherWorker(id) }) })
-	}
-	runStage(rec, "gather", func() { gatherWorker(0) })
-	j.wg.Wait()
+	fanOut("gather", nchunks, participants, false, func(_, c int) {
+		m := &j.metas[c]
+		o := j.outs[m.scratch]
+		copy(out[payloadOff+m.dstOff:], o.payload[m.off:m.off+m.size])
+		lo := c * chunk
+		for k := lo; k < min(lo+chunk, nb); k++ {
+			i := m.sizesOff + (k - lo)
+			binary.LittleEndian.PutUint16(out[zsizeOff+2*k:], o.sizes[i])
+			if o.bitmap[i] {
+				out[bitmapOff+(k>>3)] |= 1 << uint(k&7)
+			}
+		}
+	})
 	if rec {
 		phase.Stop(&telemetry.GatherPhaseDurations)
 	}
@@ -397,9 +418,9 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 
 // appendDecompressedParallel decompresses block-parallel: a prefix sum over
 // the embedded zsize array gives every worker the byte offset of its blocks
-// (the paper's prefix-sum step in Fig. 10). Work distribution uses the same
-// adaptive chunked work-stealing as the compressor, on the same persistent
-// pool; outputs below ParallelMinBytes decode serially.
+// (the paper's prefix-sum step in Fig. 10). It decides and fans out like
+// the compressor, keyed on output bytes; when Participants says one, the
+// stream decodes serially on the caller.
 func appendDecompressedParallel[T Float, B Word](dst []T, comp []byte, workers int) ([]T, error) {
 	si, err := ParseStream(comp)
 	if err != nil {
@@ -413,8 +434,9 @@ func appendDecompressedParallel[T Float, B Word](dst []T, comp []byte, workers i
 	w := Workers(workers)
 	chunk := chunkBlocks(nb, w)
 	nchunks := (nb + chunk - 1) / chunk
+	participants := Participants(w, nchunks, es*si.Hdr.N)
 	rec := telemetry.Enabled()
-	if w == 1 || nchunks < 2 || serialFaster(es*si.Hdr.N) {
+	if participants == 1 {
 		if rec {
 			telemetry.EngineDecompressFallback.Inc()
 		}
@@ -424,13 +446,6 @@ func appendDecompressedParallel[T Float, B Word](dst []T, comp []byte, workers i
 	if rec {
 		tm = telemetry.Start()
 		telemetry.EngineDecompressParallel.Inc()
-	}
-	participants := w
-	if participants > nchunks {
-		participants = nchunks
-	}
-	if rec {
-		telemetry.ParallelParticipants.Add(int64(participants))
 	}
 	offs, err := blockOffsetsPooled(si)
 	if err != nil {
@@ -442,49 +457,26 @@ func appendDecompressedParallel[T Float, B Word](dst []T, comp []byte, workers i
 	out := dst[base:]
 	bs := si.Hdr.BlockSize
 
-	j := getParJob(nchunks, participants)
-	decodeWorker := func(id int) {
-		claimed := 0
-		for {
-			c := int(j.encode.Add(1) - 1)
-			if c >= nchunks {
-				break
-			}
-			claimed++
-			lo, hi := c*chunk, (c+1)*chunk
-			if hi > nb {
-				hi = nb
-			}
-			for k := lo; k < hi; k++ {
-				blo, bhi := k*bs, (k+1)*bs
-				if bhi > len(out) {
-					bhi = len(out)
-				}
-				if err := decodeBlock[T, B](si.Payload[offs[k]:offs[k+1]], si.IsNonConstant(k), out[blo:bhi]); err != nil {
-					j.errs[id] = err
-					break
-				}
+	j := getParJob(0, participants)
+	fanOut("decode", nchunks, participants, true, func(id, c int) {
+		for k := c * chunk; k < min((c+1)*chunk, nb); k++ {
+			blk := out[k*bs : min((k+1)*bs, len(out))]
+			if err := decodeBlock[T, B](si.Payload[offs[k]:offs[k+1]], si.IsNonConstant(k), blk); err != nil {
+				j.errs[id] = err
+				return
 			}
 		}
-		if rec {
-			flushWorkerChunks(id, claimed)
-		}
-		j.wg.Done()
-	}
-	j.wg.Add(participants)
-	for id := 1; id < participants; id++ {
-		id := id
-		encPool.submit(func() { runStage(rec, "decode", func() { decodeWorker(id) }) })
-	}
-	runStage(rec, "decode", func() { decodeWorker(0) })
-	j.wg.Wait()
+	})
 	for _, e := range j.errs {
 		if e != nil {
-			putParJob(j)
-			return nil, e
+			err = e
+			break
 		}
 	}
 	putParJob(j)
+	if err != nil {
+		return nil, err
+	}
 	if rec {
 		recordDecodedBlocks(si)
 		telemetry.RecordDecompress(len(comp), es*si.Hdr.N, tm.Elapsed())
@@ -502,15 +494,4 @@ func CompressFloat32Parallel(data []float32, errBound float64, opts Options, wor
 // DecompressFloat32Parallel is DecompressFloat32 with block-parallel decoding.
 func DecompressFloat32Parallel(comp []byte, workers int) ([]float32, error) {
 	return appendDecompressedParallel[float32, uint32](nil, comp, workers)
-}
-
-// CompressFloat64Parallel is the float64 analogue of CompressFloat32Parallel.
-func CompressFloat64Parallel(data []float64, errBound float64, opts Options, workers int) ([]byte, error) {
-	return appendCompressedParallel[float64, uint64](nil, data, errBound, opts, workers)
-}
-
-// DecompressFloat64Parallel is the float64 analogue of
-// DecompressFloat32Parallel.
-func DecompressFloat64Parallel(comp []byte, workers int) ([]float64, error) {
-	return appendDecompressedParallel[float64, uint64](nil, comp, workers)
 }

@@ -58,7 +58,8 @@ func flushWorkerChunks(id, claimed int) {
 
 // runStage runs f, labeling its CPU-profile samples with szx_stage=stage
 // when telemetry is enabled so profiles of the worker pool attribute time
-// to the encode/gather/decode phases instead of one anonymous pool frame.
+// to the encode/gather/decode/batch fan-outs instead of one anonymous pool
+// frame.
 func runStage(rec bool, stage string, f func()) {
 	if !rec {
 		f()

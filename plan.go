@@ -103,7 +103,8 @@ type Plan struct {
 	// Bound is the resolved absolute error bound.
 	Bound float64
 	// BlockSize and Unguarded pass through from Options; Workers is the
-	// resolved worker count (WorkersAuto already expanded).
+	// resolved worker count (WorkersAuto expanded to GOMAXPROCS,
+	// WorkersSerial to 1).
 	BlockSize int
 	Workers   int
 	Unguarded bool
@@ -139,7 +140,7 @@ func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error)
 	p := Plan{
 		Bound:     opt.ErrorBound,
 		BlockSize: opt.BlockSize,
-		Workers:   opt.workers(),
+		Workers:   coreWorkers(opt.Workers),
 		Unguarded: opt.Unguarded,
 	}
 	switch {

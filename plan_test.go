@@ -188,8 +188,10 @@ func TestOptionsValidation(t *testing.T) {
 			if _, err := NewCodec[float32](tc.opt).Compress(data); !errors.Is(err, ErrBadOptions) {
 				t.Errorf("Codec.Compress: got %v, want ErrBadOptions", err)
 			}
-			if _, err := CompressParallelInto(nil, data, tc.opt, 2); !errors.Is(err, ErrBadOptions) {
-				t.Errorf("CompressParallelInto: got %v, want ErrBadOptions", err)
+			popt := tc.opt
+			popt.Workers = 2
+			if _, err := CompressInto(nil, data, popt); !errors.Is(err, ErrBadOptions) {
+				t.Errorf("CompressInto with Workers 2: got %v, want ErrBadOptions", err)
 			}
 			if _, err := ResolvePlan(data, tc.opt); !errors.Is(err, ErrBadOptions) {
 				t.Errorf("ResolvePlan: got %v, want ErrBadOptions", err)

@@ -142,15 +142,18 @@ func BenchmarkPooledDecompressPath(b *testing.B) {
 // TestPooledPathZeroAllocs is the gating form of the benchmarks above:
 // after one warm pass, the pooled compress path must allocate nothing AND
 // stay inside its size class — the two properties the size-classed pool
-// exists for.
+// exists for. The workers row takes the engine's serial fallback, which
+// must cost nothing either.
 func TestPooledPathZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name  string
-		n     int     // float32 values in the body
-		scale float32 // data shape
+		name    string
+		n       int     // float32 values in the body
+		scale   float32 // data shape
+		workers int
 	}{
-		{"16KiB", 4 * 1024, 0.25},
-		{"64KiB", 16 * 1024, 1},
+		{"16KiB", 4 * 1024, 0.25, 0},
+		{"16KiB workers 4", 4 * 1024, 0.25, 4},
+		{"64KiB", 16 * 1024, 1, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			raw := make([]byte, 4*tc.n)
@@ -158,7 +161,7 @@ func TestPooledPathZeroAllocs(t *testing.T) {
 				putF32(raw[4*i:], float32(i%31)*tc.scale)
 			}
 			rd := bytes.NewReader(raw)
-			opt := szx.Options{ErrorBound: 1e-3}
+			opt := szx.Options{ErrorBound: 1e-3, Workers: tc.workers}
 			sc := getScratch(int64(len(raw))) // hold it so the pool can't evict it mid-test
 			defer putScratch(sc)
 

@@ -103,12 +103,6 @@ func (s *Server) handleCompress(w http.ResponseWriter, r *http.Request) {
 			len(body), elemSize))
 		return
 	}
-	// Small-request fast path: below the adaptive engine's own serial
-	// threshold, even entering the parallel path is pure setup cost, so a
-	// 16 KiB request with ?workers=-1 runs serially no matter what it asked.
-	if opt.Workers != 0 && len(body) < szx.ParallelMinBytes() {
-		opt.Workers = 0
-	}
 	if rq.tr != nil {
 		// The codec reports resolve_plan and encode/gather phases itself.
 		opt.Spans = rq.tr
@@ -187,9 +181,9 @@ func (s *Server) handleDecompress(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if h.Type == szx.TypeFloat64 {
-		decompressBody(rq, w, sc, sc.c64, body, h.N, opt)
+		decompressBody(rq, w, sc, sc.c64, body, opt)
 	} else {
-		decompressBody(rq, w, sc, sc.c32, body, h.N, opt)
+		decompressBody(rq, w, sc, sc.c32, body, opt)
 	}
 }
 
@@ -203,14 +197,9 @@ func compressBody[T szx.Float](rq *reqScope, vals *[]T, c *szx.Codec[T], body []
 	return c.Compress(*vals)
 }
 
-// decompressBody decodes a single SZx stream of n values on the scratch's
-// codec c and sends the values.
-func decompressBody[T szx.Float](rq *reqScope, w http.ResponseWriter, sc *scratch, c *szx.Codec[T], body []byte, n int, opt szx.Options) {
-	// The header gives the exact decoded size, so the serial shortcut keys
-	// on output bytes — the same signal the adaptive engine itself uses.
-	if opt.Workers != 0 && n*wireconv.Size[T]() < szx.ParallelMinBytes() {
-		opt.Workers = 0
-	}
+// decompressBody decodes a single SZx stream on the scratch's codec c and
+// sends the values.
+func decompressBody[T szx.Float](rq *reqScope, w http.ResponseWriter, sc *scratch, c *szx.Codec[T], body []byte, opt szx.Options) {
 	sp := rq.tr.StartSpan("decode")
 	c.SetOptions(opt)
 	vals, err := c.Decompress(body)

@@ -29,12 +29,12 @@
 //
 // The codec core is implemented once, generically, over both element types.
 // The [Float]-constrained functions ([CompressInto], [DecompressInto],
-// [CompressParallelInto], [DecompressParallelInto]) append to
-// caller-supplied buffers and perform no allocations once those buffers are
-// warm; the per-type helpers (Compress, CompressFloat64, ...) are thin
-// wrappers over them. For repeated compression of similar payloads — the
-// in-memory-compression service pattern — use a [Codec], which keeps the
-// reuse buffers internally.
+// [DecompressParallelInto]) append to caller-supplied buffers and perform
+// no allocations once those buffers are warm; the per-type helpers
+// (Compress, CompressFloat64, ...) are thin wrappers over them. For
+// repeated compression of similar payloads — the in-memory-compression
+// service pattern — use a [Codec], which keeps the reuse buffers
+// internally.
 //
 // # Observability
 //
@@ -144,11 +144,15 @@ func (o Options) coreOpts() core.Options {
 	return core.Options{BlockSize: o.BlockSize, Unguarded: o.Unguarded, Spans: o.Spans}
 }
 
-func (o Options) workers() int {
-	if o.Workers == WorkersAuto {
+// coreWorkers maps a worker count of this package onto the core's, whose 0
+// means GOMAXPROCS: WorkersAuto becomes GOMAXPROCS, and WorkersSerial, like
+// any other count below 1, the calling goroutine alone. Whether the workers
+// are then used is the core's decision (core.Participants).
+func coreWorkers(w int) int {
+	if w == WorkersAuto {
 		return core.Workers(0)
 	}
-	return o.Workers
+	return max(w, 1)
 }
 
 // Header describes a compressed stream; see Info.
@@ -228,27 +232,12 @@ func DecompressInto[T Float](dst []T, comp []byte) ([]T, error) {
 	return core.DecompressInto(dst, comp)
 }
 
-// CompressParallelInto is CompressInto with an explicit worker count
-// (overriding opt.Workers; WorkersAuto selects GOMAXPROCS).
-func CompressParallelInto[T Float](dst []byte, data []T, opt Options, workers int) ([]byte, error) {
-	p, err := ResolvePlan(data, opt)
-	if err != nil {
-		return nil, err
-	}
-	if workers == WorkersAuto {
-		workers = core.Workers(0)
-	}
-	return core.CompressParallelInto(dst, data, p.Bound, p.coreOpts(), workers)
-}
-
 // DecompressParallelInto is DecompressInto with block-parallel decoding
-// (WorkersAuto selects GOMAXPROCS).
+// across workers (WorkersAuto selects GOMAXPROCS, WorkersSerial the calling
+// goroutine).
 func DecompressParallelInto[T Float](dst []T, comp []byte, workers int) ([]T, error) {
-	if workers == WorkersAuto {
-		workers = core.Workers(0)
-	}
-	if workers > 1 {
-		return core.DecompressParallelInto(dst, comp, workers)
+	if w := coreWorkers(workers); w > 1 {
+		return core.DecompressParallelInto(dst, comp, w)
 	}
 	return core.DecompressInto(dst, comp)
 }
@@ -301,16 +290,6 @@ func DecompressFloat64Parallel(comp []byte, workers int) ([]float64, error) {
 // decompressing it.
 func Info(comp []byte) (Header, error) {
 	return core.ParseHeader(comp)
-}
-
-// ParallelMinBytes reports the adaptive engine's serial-fallback threshold
-// in bytes: inputs (compression) or outputs (decompression) smaller than
-// this always run on the calling goroutine because scheduling workers would
-// cost more than the codec work. Callers that route requests — the service
-// handlers, most usefully — can skip the parallel entry entirely below it.
-// 0 means the adaptive fallback is disabled (a test/benchmark override).
-func ParallelMinBytes() int {
-	return core.ParallelMinBytes
 }
 
 // ActiveKernels reports which block-kernel implementation set the codec

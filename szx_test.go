@@ -1,9 +1,14 @@
 package szx
 
 import (
+	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/telemetry"
 )
 
 func testField(n int, seed int64) []float32 {
@@ -82,26 +87,70 @@ func TestRelativeDegenerate(t *testing.T) {
 	}
 }
 
+// TestWorkersVariants runs every worker count through each compress and
+// decompress entry point and checks the serial stream comes back. The core
+// alone decides whether workers engage, so WorkersSerial never reaches the
+// parallel engine, and at one P nothing fans out, batches included.
 func TestWorkersVariants(t *testing.T) {
 	data := testField(50000, 3)
 	ref, err := Compress(data, Options{ErrorBound: 1e-4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{WorkersSerial, WorkersAuto, 1, 3, 9} {
-		comp, err := Compress(data, Options{ErrorBound: 1e-4, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if string(comp) != string(ref) {
-			t.Fatalf("workers=%d: stream differs", w)
-		}
-		dec, err := DecompressParallel(comp, w)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", w, err)
-		}
-		if len(dec) != len(data) {
-			t.Fatalf("workers=%d: wrong length", w)
+	// Four 50,000-byte arrays: each is under the engine's 64 KiB floor, the
+	// batch as a whole is over it.
+	arrays := [][]float32{data[:12500], data[12500:25000], data[25000:37500], data[37500:]}
+	telemetry.Reset()
+	telemetry.Enable()
+	defer func() {
+		telemetry.Disable()
+		telemetry.Reset()
+	}()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{runtime.GOMAXPROCS(0), 1} {
+		runtime.GOMAXPROCS(procs)
+		for _, w := range []int{WorkersSerial, WorkersAuto, 1, 3, 4, 9} {
+			telemetry.Reset()
+			opt := Options{ErrorBound: 1e-4, Workers: w}
+			comp, err := CompressInto[float32](nil, data, opt)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if string(comp) != string(ref) {
+				t.Fatalf("workers=%d: stream differs", w)
+			}
+			if cc, err := NewCodec[float32](opt).Compress(data); err != nil || string(cc) != string(ref) {
+				t.Fatalf("workers=%d: Codec stream differs (err %v)", w, err)
+			}
+			outs, errs := CompressBatch[float32](nil, nil, arrays, opt)
+			if err := errors.Join(errs...); err != nil {
+				t.Fatalf("workers=%d: CompressBatch: %v", w, err)
+			}
+			aw := NewArchiveWriter(opt)
+			if err := aw.AddField("f", []int{len(data)}, data); err != nil {
+				t.Fatalf("workers=%d: AddField: %v", w, err)
+			}
+			sw := NewWriter(io.Discard, opt, 1<<14)
+			if err := errors.Join(sw.Write(data), sw.Close()); err != nil {
+				t.Fatalf("workers=%d: Writer: %v", w, err)
+			}
+			if n := telemetry.EngineCompressParallel.Load(); w == WorkersSerial && n != 0 {
+				t.Errorf("WorkersSerial engaged the parallel compress engine %d times", n)
+			}
+
+			dec, err := DecompressParallel(comp, w)
+			if err != nil {
+				t.Fatalf("workers=%d: %v", w, err)
+			}
+			if len(dec) != len(data) {
+				t.Fatalf("workers=%d: wrong length", w)
+			}
+			if _, errs := DecompressBatch[float32](nil, nil, outs, w); errors.Join(errs...) != nil {
+				t.Fatalf("workers=%d: DecompressBatch: %v", w, errors.Join(errs...))
+			}
+			if n := telemetry.ParallelParticipants.Load(); procs == 1 && n != 0 {
+				t.Errorf("GOMAXPROCS 1, workers=%d: %d participants fanned out; want 0", w, n)
+			}
 		}
 	}
 }
