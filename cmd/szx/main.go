@@ -17,14 +17,16 @@
 // the stream header, so -info and decompression report it like any other
 // absolute bound.
 //
-// With -stream, -z emits a streaming container ("SZXS") through the
-// pipelined engine: the input file is read chunk by chunk, chunks compress
-// concurrently on -w workers, and frames are written as they complete, so
-// memory stays bounded by the pipeline window instead of the file size
-// (float32 only). -x detects the container magic and picks the matching
-// path automatically — streaming containers decode through the pipelined
-// reader straight to the output file, single-buffer streams through the
-// parallel block decoder.
+// With -stream, -z emits a streaming container ("SZXS"): the input file is
+// read chunk by chunk and frames are written as they complete, so memory
+// stays bounded by the chunk (or the pipeline window) instead of the file
+// size (float32 only). -x detects the container magic and picks the
+// matching path automatically — streaming containers decode frame by frame
+// straight to the output file, single-buffer streams through the block
+// decoder. On streaming containers -w sizes the pipeline: -w 0 runs every
+// chunk inline on one goroutine, -w -1 runs one pipeline worker per CPU,
+// and -w N runs N; on single-buffer streams -w is the block-parallel
+// worker count. The bytes written never depend on -w.
 //
 // Observability: -stats enables codec telemetry and prints a counter report
 // to stderr when the command finishes; -stats-http ADDR additionally serves
@@ -106,7 +108,7 @@ func main() {
 		rel        = flag.Bool("rel", false, "interpret -e as value-range-relative")
 		blockSize  = flag.Int("b", szx.DefaultBlockSize, "block size")
 		dtype      = flag.String("t", "f32", "element type: f32 or f64")
-		workers    = flag.Int("w", szx.WorkersSerial, "workers (-1 = all CPUs)")
+		workers    = flag.Int("w", szx.WorkersSerial, "workers: 0 = serial (inline on streaming containers), -1 = one per CPU, N = N")
 		quiet      = flag.Bool("q", false, "suppress statistics output")
 		stats      = flag.Bool("stats", false, "enable telemetry and print a report to stderr at exit")
 		statsHTTP  = flag.String("stats-http", "", "enable telemetry and serve /metrics, /debug/vars, /debug/pprof on this address")
@@ -269,9 +271,16 @@ func runInfo(path string, stdout io.Writer) (int, error) {
 	return exitOK, nil
 }
 
-// runStreamCompress pumps the input file through the pipelined streaming
-// engine: reads one chunk of raw float32 bytes at a time, so peak memory is
-// the pipeline window (parallelism+2 chunks), not the file size.
+// pipelined reports whether -w asks the streaming engine for pipeline
+// workers: WorkersAuto or a positive count. WorkersSerial, like any other
+// count below 1, runs the engine inline, as it runs the one-shot codec
+// serially.
+func pipelined(workers int) bool { return workers == szx.WorkersAuto || workers > 0 }
+
+// runStreamCompress pumps the input file through the streaming engine: it
+// reads one chunk of raw float32 bytes at a time, so peak memory is one
+// chunk inline, or the pipeline window (workers+2 chunks), not the file
+// size.
 func runStreamCompress(inPath, outPath string, opt szx.Options, chunkVals, workers int, quiet bool) {
 	if chunkVals <= 0 {
 		chunkVals = szx.DefaultChunkValues
@@ -287,7 +296,12 @@ func runStreamCompress(inPath, outPath string, opt szx.Options, chunkVals, worke
 	}
 	bw := bufio.NewWriterSize(outf, 1<<20)
 	cw := &countWriter{w: bw}
-	pw := szx.NewPipeWriter(cw, opt, chunkVals, workers)
+	var pw *szx.PipeWriter
+	if pipelined(workers) {
+		pw = szx.NewPipeWriter(cw, opt, chunkVals, workers)
+	} else {
+		pw = szx.NewWriter(cw, opt, chunkVals)
+	}
 
 	start := time.Now()
 	br := bufio.NewReaderSize(inf, 1<<20)
@@ -345,7 +359,10 @@ func runCompress(inPath, outPath string, opt szx.Options, dtype string, quiet bo
 }
 
 // compressFile is runCompress for values of type T. A trailing partial
-// value is corrupt input, as it is on the streaming path.
+// value is corrupt input, as it is on the streaming path. The plan is
+// resolved once and the data compressed under its absolute bound with
+// opt.Workers, so -w reaches the engine and the fixed-ratio trace comes
+// from the plan.
 func compressFile[T szx.Float](inPath, outPath string, opt szx.Options, quiet bool) (int, error) {
 	raw, err := os.ReadFile(inPath)
 	if err != nil {
@@ -355,7 +372,14 @@ func compressFile[T szx.Float](inPath, outPath string, opt szx.Options, quiet bo
 		return exitCorrupt, fmt.Errorf("input is not a whole number of %T values (%d trailing bytes)", T(0), rem)
 	}
 	start := time.Now()
-	comp, st, err := szx.CompressIntoStats(nil, wireconv.Values[T](nil, raw), opt)
+	data := wireconv.Values[T](nil, raw)
+	p, err := szx.ResolvePlan(data, opt)
+	if err != nil {
+		return exitCodeFor(err), err
+	}
+	abs := opt
+	abs.ErrorBound, abs.Mode, abs.TargetRatio = p.Bound, szx.BoundAbsolute, 0
+	comp, err := szx.CompressInto(nil, data, abs)
 	elapsed := time.Since(start)
 	if err != nil {
 		return exitCodeFor(err), err
@@ -367,9 +391,9 @@ func compressFile[T szx.Float](inPath, outPath string, opt szx.Options, quiet bo
 		fmt.Printf("compressed %d -> %d bytes (CR %.2f) in %v (%.1f MB/s)\n",
 			len(raw), len(comp), float64(len(raw))/float64(len(comp)), elapsed,
 			float64(len(raw))/elapsed.Seconds()/1e6)
-		if st.TargetRatio > 0 {
+		if p.TargetRatio > 0 {
 			fmt.Printf("fixed-ratio: target %.3g achieved %.3g bound %g probes %d converged %v\n",
-				st.TargetRatio, st.Ratio(), st.EffectiveBound, st.RatioProbes, st.RatioConverged)
+				p.TargetRatio, float64(len(raw))/float64(len(comp)), p.Bound, p.Probes, p.Converged)
 		}
 	}
 	return exitOK, nil
@@ -421,16 +445,22 @@ func runDecompress(inPath, outPath string, workers int, quiet bool) {
 	}
 }
 
-// runStreamDecompress drains a streaming container through the pipelined
-// reader, writing decoded values to the output file as chunks complete —
-// frames prefetch and decode concurrently ahead of the file writes.
+// runStreamDecompress drains a streaming container, writing decoded values
+// to the output file as chunks complete. Pipelined, frames prefetch and
+// decode concurrently ahead of the file writes; inline, each is read and
+// decoded when the next values are needed.
 func runStreamDecompress(br io.Reader, inPath, outPath string, workers int, quiet bool) {
 	outf, err := os.Create(outPath)
 	if err != nil {
 		fail(exitIO, "%v", err)
 	}
 	bw := bufio.NewWriterSize(outf, 1<<20)
-	pr := szx.NewPipeReader(br, workers)
+	var pr *szx.PipeReader
+	if pipelined(workers) {
+		pr = szx.NewPipeReader(br, workers)
+	} else {
+		pr = szx.NewReader(br)
+	}
 	defer pr.Close()
 
 	start := time.Now()

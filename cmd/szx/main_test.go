@@ -3,7 +3,9 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +13,8 @@ import (
 	"testing"
 
 	szx "repro"
+	"repro/internal/wireconv"
+	"repro/telemetry"
 )
 
 // TestExitCodeClassification pins the error-to-exit-code mapping that
@@ -142,5 +146,81 @@ func TestCompressTrailingBytes(t *testing.T) {
 	}
 	if !strings.Contains(info.String(), " n=1024 ") {
 		t.Fatalf("-info %q; want n=1024", info.String())
+	}
+}
+
+// TestEngineWorkersFlag pins what -w selects. One-shot -z hands it to the
+// engine: -w 2 over 256 KiB is one engaged parallel call (a serial
+// fallback at one P), where a serial compress engages none. On streaming
+// containers -w 0 runs inline, on -z -stream and on -x, and other counts
+// start a pipeline each. Every output is byte-identical across -w 0, 2
+// and -1.
+func TestEngineWorkersFlag(t *testing.T) {
+	if !telemetry.Enabled() {
+		telemetry.Enable()
+		defer telemetry.Disable()
+	}
+	dir := t.TempDir()
+	in := filepath.Join(dir, "in.f32")
+	vals := make([]float32, 1<<16) // 256 KiB: past the engine's 64 KiB floor
+	for i := range vals {
+		vals[i] = float32(math.Sin(float64(i) / 40))
+	}
+	if err := os.WriteFile(in, wireconv.Append(nil, vals), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// -w -1 resolves to GOMAXPROCS workers, which at one P is the serial
+	// codec.
+	autoEngaged := int64(0)
+	if runtime.GOMAXPROCS(0) > 1 {
+		autoEngaged = 1
+	}
+
+	outputs := []string{"oneshot.szx", "oneshot.out", "stream.szxs", "stream.out"}
+	for _, tc := range []struct {
+		w         int
+		engaged   int64 // parallel or fallback engine calls by -z
+		pipelines int64 // pipelines started by -z -stream and -x
+	}{
+		{szx.WorkersSerial, 0, 0},
+		{2, 1, 2},
+		{szx.WorkersAuto, autoEngaged, 2},
+	} {
+		w := tc.w
+		path := func(name string) string { return filepath.Join(dir, fmt.Sprintf("w%d.%s", w, name)) }
+		engaged := func() int64 {
+			return telemetry.EngineCompressParallel.Load() + telemetry.EngineCompressFallback.Load()
+		}
+
+		before := engaged()
+		opt := szx.Options{ErrorBound: 1e-3, Workers: w}
+		if code, err := runCompress(in, path("oneshot.szx"), opt, "f32", true); code != exitOK || err != nil {
+			t.Fatalf("-z -w %d: exit %d, %v", w, code, err)
+		}
+		if got := engaged() - before; got != tc.engaged {
+			t.Errorf("-z -w %d: %d engaged engine calls, want %d", w, got, tc.engaged)
+		}
+		runDecompress(path("oneshot.szx"), path("oneshot.out"), w, true)
+
+		starts := telemetry.PipelineStarts.Load()
+		runStreamCompress(in, path("stream.szxs"), opt, 1<<12, w, true)
+		runDecompress(path("stream.szxs"), path("stream.out"), w, true)
+		if got := telemetry.PipelineStarts.Load() - starts; got != tc.pipelines {
+			t.Errorf("-z -stream and -x at -w %d started %d pipelines, want %d", w, got, tc.pipelines)
+		}
+
+		for _, name := range outputs {
+			got, err := os.ReadFile(path(name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(filepath.Join(dir, "w0."+name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("-w %d: %s differs from -w 0's", w, name)
+			}
+		}
 	}
 }

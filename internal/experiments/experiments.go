@@ -6,6 +6,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -192,24 +193,27 @@ func zstdLikeCodec() codec {
 
 // --- measurement helpers --------------------------------------------------
 
-// measure times fn, repeating until minDuration is accumulated, and returns
-// seconds per call.
+// measure times fn and returns the median call's seconds. It times at
+// least 5 calls, and outside Quick mode more (up to 20) while a 150 ms
+// budget lasts: the median keeps one call that a busy host delayed from
+// deciding a cell.
 func (c Config) measure(fn func()) float64 {
-	minDur := 150 * time.Millisecond
+	const minReps, maxReps = 5, 20
+	budget := 150 * time.Millisecond
 	if c.Quick {
-		minDur = 0
+		budget = 0
 	}
+	times := make([]time.Duration, 0, maxReps)
 	var total time.Duration
-	reps := 0
-	for {
+	for len(times) < minReps || (total < budget && len(times) < maxReps) {
 		start := time.Now()
 		fn()
-		total += time.Since(start)
-		reps++
-		if total >= minDur || reps >= 20 {
-			return total.Seconds() / float64(reps)
-		}
+		d := time.Since(start)
+		times = append(times, d)
+		total += d
 	}
+	slices.Sort(times)
+	return times[len(times)/2].Seconds()
 }
 
 // relToAbs converts a value-range-based relative bound to absolute.

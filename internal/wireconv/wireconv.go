@@ -100,29 +100,6 @@ func Values[T Float](dst []T, b []byte) []T {
 // AppendF32 appends vals' wire bytes to dst.
 func AppendF32(dst []byte, vals []float32) []byte { return Append(dst, vals) }
 
-// AppendF64 appends vals' wire bytes to dst.
-func AppendF64(dst []byte, vals []float64) []byte { return Append(dst, vals) }
-
-// PutF32 writes vals' wire bytes into dst, which must hold 4*len(vals)
-// bytes.
-func PutF32(dst []byte, vals []float32) { Put(dst, vals) }
-
-// PutF64 writes vals' wire bytes into dst, which must hold 8*len(vals)
-// bytes.
-func PutF64(dst []byte, vals []float64) { Put(dst, vals) }
-
-// DecodeF32 fills dst from its wire bytes; len(b) must be at least
-// 4*len(dst).
-func DecodeF32(dst []float32, b []byte) { Decode(dst, b) }
-
-// DecodeF64 fills dst from its wire bytes; len(b) must be at least
-// 8*len(dst).
-func DecodeF64(dst []float64, b []byte) { Decode(dst, b) }
-
 // F32 decodes b's wire float32s into dst's reused capacity and returns the
 // resized slice.
 func F32(dst []float32, b []byte) []float32 { return Values(dst, b) }
-
-// F64 decodes b's wire float64s into dst's reused capacity and returns the
-// resized slice.
-func F64(dst []float64, b []byte) []float64 { return Values(dst, b) }

@@ -49,35 +49,35 @@ func TestBothPaths(t *testing.T) {
 		for _, n := range []int{0, 1, 7, 1023} {
 			want32, want64 := refF32(f32s[:n]), refF64(f64s[:n])
 
-			if got := AppendF32([]byte("pre"), f32s[:n]); !bytes.Equal(got, append([]byte("pre"), want32...)) {
-				t.Fatalf("hostLE=%v n=%d: AppendF32 mismatch", le, n)
+			if got := Append([]byte("pre"), f32s[:n]); !bytes.Equal(got, append([]byte("pre"), want32...)) {
+				t.Fatalf("hostLE=%v n=%d: Append[float32] mismatch", le, n)
 			}
-			if got := AppendF64(nil, f64s[:n]); !bytes.Equal(got, want64) {
-				t.Fatalf("hostLE=%v n=%d: AppendF64 mismatch", le, n)
+			if got := Append(nil, f64s[:n]); !bytes.Equal(got, want64) {
+				t.Fatalf("hostLE=%v n=%d: Append[float64] mismatch", le, n)
 			}
 
 			put32 := make([]byte, 4*n)
-			PutF32(put32, f32s[:n])
+			Put(put32, f32s[:n])
 			if !bytes.Equal(put32, want32) {
-				t.Fatalf("hostLE=%v n=%d: PutF32 mismatch", le, n)
+				t.Fatalf("hostLE=%v n=%d: Put[float32] mismatch", le, n)
 			}
 			put64 := make([]byte, 8*n)
-			PutF64(put64, f64s[:n])
+			Put(put64, f64s[:n])
 			if !bytes.Equal(put64, want64) {
-				t.Fatalf("hostLE=%v n=%d: PutF64 mismatch", le, n)
+				t.Fatalf("hostLE=%v n=%d: Put[float64] mismatch", le, n)
 			}
 
-			back32 := F32(nil, want32)
-			back64 := F64(nil, want64)
+			back32 := Values[float32](nil, want32)
+			back64 := Values[float64](nil, want64)
 			if len(back32) != n || len(back64) != n {
 				t.Fatalf("hostLE=%v n=%d: decode lengths %d/%d", le, n, len(back32), len(back64))
 			}
 			for i := 0; i < n; i++ {
 				if math.Float32bits(back32[i]) != math.Float32bits(f32s[i]) {
-					t.Fatalf("hostLE=%v: F32[%d] bits differ", le, i)
+					t.Fatalf("hostLE=%v: Values[float32][%d] bits differ", le, i)
 				}
 				if math.Float64bits(back64[i]) != math.Float64bits(f64s[i]) {
-					t.Fatalf("hostLE=%v: F64[%d] bits differ", le, i)
+					t.Fatalf("hostLE=%v: Values[float64][%d] bits differ", le, i)
 				}
 			}
 		}
@@ -103,15 +103,15 @@ func BenchmarkAppendF32_16K(b *testing.B) {
 	dst := make([]byte, 0, 4*len(vals))
 	b.SetBytes(int64(4 * len(vals)))
 	for i := 0; i < b.N; i++ {
-		dst = AppendF32(dst[:0], vals)
+		dst = Append(dst[:0], vals)
 	}
 }
 
 func BenchmarkDecodeF32_16K(b *testing.B) {
 	vals := make([]float32, 4096)
-	raw := AppendF32(nil, vals)
+	raw := Append(nil, vals)
 	b.SetBytes(int64(len(raw)))
 	for i := 0; i < b.N; i++ {
-		DecodeF32(vals, raw)
+		Decode(vals, raw)
 	}
 }

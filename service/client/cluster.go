@@ -3,35 +3,13 @@ package client
 import (
 	"context"
 	"errors"
-	"hash/fnv"
 	"math/rand/v2"
 	"net/http"
-	"sort"
-	"strconv"
 	"sync/atomic"
 	"time"
 
 	"repro/service/cluster"
 	"repro/telemetry"
-)
-
-// Policy selects how a ClusterClient orders candidate nodes for a request.
-type Policy int
-
-const (
-	// PolicyLeastLoaded routes by power-of-two-choices over each node's
-	// polled load (queue depth + in-flight) plus this client's own
-	// outstanding requests — two random candidates, the less loaded wins.
-	// The default: no coordination, near-optimal load spread.
-	PolicyLeastLoaded Policy = iota
-	// PolicyHash routes by rendezvous (highest-random-weight) hashing on
-	// the caller's affinity key (WithAffinityKey). Requests sharing a key
-	// land on the same node while it stays routable, so a node's warm
-	// buffers see related traffic.
-	PolicyHash
-	// PolicyOrdered routes in configured node order: first routable node
-	// wins. Gives operators an explicit primary/backup topology.
-	PolicyOrdered
 )
 
 // ErrNoNodes is returned when a ClusterClient has an empty node list.
@@ -41,8 +19,6 @@ var ErrNoNodes = errors.New("szxd cluster: no nodes configured")
 type ClusterConfig struct {
 	// Nodes is the static list of szxd base URLs (or host:port strings).
 	Nodes []string
-	// Policy orders candidates per request (default PolicyLeastLoaded).
-	Policy Policy
 	// Retry caps cross-node retries of shed/failed requests; zero-value
 	// fields take RetryPolicy defaults (3 attempts, jittered backoff).
 	Retry RetryPolicy
@@ -57,8 +33,6 @@ type ClusterConfig struct {
 	// disables background polling — callers then drive
 	// Membership().PollOnce themselves, which tests do).
 	PollInterval time.Duration
-	// HTTPClient overrides the data-plane client shared by all nodes.
-	HTTPClient *http.Client
 }
 
 // clusterNode pairs one node's single-node Client with this client's
@@ -70,13 +44,14 @@ type clusterNode struct {
 }
 
 // ClusterClient fans a Client's API out over a fleet of szxd nodes: it
-// embeds a cluster.Membership over the node list, routes each request by
-// the configured policy around draining/suspect/dead nodes, and retries
-// shed or failed ones on the next node — under a budget that caps the
-// extra load at a fraction of the successful traffic.
+// embeds a cluster.Membership over the node list, routes each request to
+// the less loaded of two random routable nodes (power of two choices over
+// each node's polled queue depth and in-flight count plus this client's own
+// outstanding requests), keeps draining/suspect/dead nodes as a last
+// resort, and retries shed or failed requests on the next node — under a
+// budget that caps the extra load at a fraction of the successful traffic.
 type ClusterClient struct {
-	policy Policy
-	retry  RetryPolicy
+	retry RetryPolicy
 
 	nodes []*clusterNode
 	mem   *cluster.Membership
@@ -89,20 +64,14 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 	if len(cfg.Nodes) == 0 {
 		return nil, ErrNoNodes
 	}
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{
-			Transport: &http.Transport{
-				MaxIdleConns:        256,
-				MaxIdleConnsPerHost: 128,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
+	hc := &http.Client{
+		Transport: &http.Transport{
+			MaxIdleConns:        256,
+			MaxIdleConnsPerHost: 128,
+			IdleConnTimeout:     90 * time.Second,
+		},
 	}
-	cc := &ClusterClient{
-		policy: cfg.Policy,
-		retry:  cfg.Retry.withDefaults(),
-	}
+	cc := &ClusterClient{retry: cfg.Retry.withDefaults()}
 	seen := make(map[string]bool)
 	for _, n := range cfg.Nodes {
 		addr := cluster.NormalizeAddr(n)
@@ -147,51 +116,20 @@ func (cc *ClusterClient) Membership() *cluster.Membership { return cc.mem }
 // Peers snapshots the current peer views.
 func (cc *ClusterClient) Peers() []cluster.PeerView { return cc.mem.Peers() }
 
-// affinityCtxKey carries the caller's routing key in a context.
-type affinityCtxKey struct{}
-
-// WithAffinityKey tags ctx with a routing affinity key. Under PolicyHash,
-// requests sharing a key route to the same node while it stays healthy.
-func WithAffinityKey(ctx context.Context, key string) context.Context {
-	return context.WithValue(ctx, affinityCtxKey{}, key)
-}
-
-// AffinityKey returns the routing key set by WithAffinityKey, "" if none.
-func AffinityKey(ctx context.Context) string {
-	key, _ := ctx.Value(affinityCtxKey{}).(string)
-	return key
-}
-
-// rendezvousWeight scores one (key, node) pair for highest-random-weight
-// hashing: FNV-64a over key and address. Each key induces an independent
-// pseudo-random permutation of the nodes, so when a node dies only its
-// keys move (to their second choice) — the property that makes rendezvous
-// hashing rebalance minimally.
-func rendezvousWeight(key, addr string) uint64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	_, _ = h.Write([]byte{0})
-	_, _ = h.Write([]byte(addr))
-	return h.Sum64()
-}
-
 // load is the routing signal for one node: the peer's last-polled queue
 // depth + in-flight, plus the requests this client has dispatched there
 // since (the poll data is up to an interval stale; local outstanding
 // covers the gap).
-func (cc *ClusterClient) load(n *clusterNode, v cluster.PeerView, known bool) int {
-	l := int(n.outstanding.Load())
-	if known {
-		l += v.Load
-	}
-	return l
+func (cc *ClusterClient) load(n *clusterNode, v cluster.PeerView) int {
+	return v.Load + int(n.outstanding.Load())
 }
 
 // candidates orders the nodes for one dispatch: routable (alive, not
-// draining) nodes first in policy order, then suspects, then the rest —
-// so the retry loop walks from best to worst and a fully-dark fleet still
-// gets attempted rather than failing without trying.
-func (cc *ClusterClient) candidates(key string) []*clusterNode {
+// draining) nodes first, the less loaded of two random ones at the head,
+// then suspects, then the rest — so the retry loop walks from best to
+// worst and a fully-dark fleet still gets attempted rather than failing
+// without trying.
+func (cc *ClusterClient) candidates() []*clusterNode {
 	views := cc.mem.Peers()
 	vm := make(map[string]cluster.PeerView, len(views))
 	for _, v := range views {
@@ -210,42 +148,29 @@ func (cc *ClusterClient) candidates(key string) []*clusterNode {
 			rest = append(rest, n)
 		}
 	}
-	switch {
-	case len(routable) == 0:
+	if len(routable) == 0 {
 		telemetry.ClusterRoutedFallback.Inc()
-	case cc.policy == PolicyHash:
-		if key == "" {
-			// No affinity requested: a random key per dispatch spreads
-			// keyless traffic instead of pinning it all to one node.
-			key = strconv.FormatUint(rand.Uint64(), 36)
-		}
-		sort.Slice(routable, func(i, j int) bool {
-			return rendezvousWeight(key, routable[i].addr) > rendezvousWeight(key, routable[j].addr)
-		})
-		telemetry.ClusterRoutedHash.Inc()
-	case cc.policy == PolicyOrdered:
-		telemetry.ClusterRoutedOrdered.Inc()
-	default: // PolicyLeastLoaded
-		if len(routable) > 1 {
-			// Power of two choices: sample two distinct candidates, put
-			// the less loaded one first. The rest keep their order as the
-			// retry tail.
-			i := rand.IntN(len(routable))
-			j := rand.IntN(len(routable) - 1)
-			if j >= i {
-				j++
-			}
-			if cc.load(routable[j], vm[routable[j].addr], true) < cc.load(routable[i], vm[routable[i].addr], true) {
-				i, j = j, i
-			}
-			routable[0], routable[i] = routable[i], routable[0]
-			if j == 0 {
-				j = i // j held routable[0]; it moved to slot i
-			}
-			routable[1], routable[j] = routable[j], routable[1]
-		}
-		telemetry.ClusterRoutedLeastLoaded.Inc()
+		return append(suspects, rest...)
 	}
+	if len(routable) > 1 {
+		// Power of two choices: sample two distinct candidates, put the
+		// less loaded one first. The rest keep their order as the retry
+		// tail.
+		i := rand.IntN(len(routable))
+		j := rand.IntN(len(routable) - 1)
+		if j >= i {
+			j++
+		}
+		if cc.load(routable[j], vm[routable[j].addr]) < cc.load(routable[i], vm[routable[i].addr]) {
+			i, j = j, i
+		}
+		routable[0], routable[i] = routable[i], routable[0]
+		if j == 0 {
+			j = i // j held routable[0]; it moved to slot i
+		}
+		routable[1], routable[j] = routable[j], routable[1]
+	}
+	telemetry.ClusterRoutedLeastLoaded.Inc()
 	return append(append(routable, suspects...), rest...)
 }
 
@@ -269,7 +194,7 @@ func clusterRun[T any](cc *ClusterClient, ctx context.Context, n *clusterNode, o
 // attempt cap, or an exhausted retry budget.
 func clusterDo[T any](cc *ClusterClient, ctx context.Context, op func(context.Context, *Client) (T, error)) (T, error) {
 	var zero T
-	cands := cc.candidates(AffinityKey(ctx))
+	cands := cc.candidates()
 	for attempt := 1; ; attempt++ {
 		v, err := clusterRun(cc, ctx, cands[(attempt-1)%len(cands)], op)
 		if err == nil {
@@ -338,7 +263,7 @@ func (cc *ClusterClient) DecompressBatch(ctx context.Context, comps [][]byte, p 
 // best-ranked candidate.
 func (cc *ClusterClient) Ready(ctx context.Context) error {
 	var err error
-	for _, n := range cc.candidates("") {
+	for _, n := range cc.candidates() {
 		if err = n.c.Ready(ctx); err == nil {
 			return nil
 		}

@@ -2,13 +2,17 @@ package client
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/service/cluster"
 	"repro/telemetry"
 )
 
@@ -70,5 +74,104 @@ func TestClusterRetryBudgetExhaustion(t *testing.T) {
 		if got := telemetry.ClusterRetryBudgetDenied.Load() - denied; got != 1 {
 			t.Errorf("call %d: retry budget denials rose by %d, want 1", call, got)
 		}
+	}
+}
+
+// infoNode is a stand-in szxd that serves /v1/cluster/info from info, and
+// fails every probe while info is nil.
+func infoNode(t *testing.T) (*httptest.Server, *atomic.Pointer[cluster.Info]) {
+	t.Helper()
+	info := new(atomic.Pointer[cluster.Info])
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		in := info.Load()
+		if in == nil || r.URL.Path != "/v1/cluster/info" {
+			http.Error(w, "down", http.StatusInternalServerError)
+			return
+		}
+		_ = json.NewEncoder(w).Encode(in)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, info
+}
+
+// TestCandidateOrder pins the order the retry loop walks: of the routable
+// nodes the less loaded comes first, then suspects, then the draining and
+// dead nodes in configured order. With no routable node left every node is
+// still returned, suspects first, and the dispatch counts as a fallback.
+func TestCandidateOrder(t *testing.T) {
+	// Configured order differs from every expected order below.
+	names := []string{"dead", "loaded", "draining", "suspect", "idle"}
+	addrs := make([]string, len(names))
+	infos := make(map[string]*atomic.Pointer[cluster.Info], len(names))
+	for i, name := range names {
+		srv, info := infoNode(t)
+		addrs[i], infos[name] = srv.URL, info
+		info.Store(&cluster.Info{NodeID: name})
+	}
+	infos["loaded"].Store(&cluster.Info{NodeID: "loaded", InFlight: 6, QueueDepth: 4})
+	infos["idle"].Store(&cluster.Info{NodeID: "idle", InFlight: 1})
+	infos["draining"].Store(&cluster.Info{NodeID: "draining", Draining: true})
+	infos["dead"].Store(nil)
+
+	cc, err := NewCluster(ClusterConfig{Nodes: addrs, PollInterval: -1})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	defer cc.Close()
+	poll := func(n int) {
+		for range n {
+			cc.Membership().PollOnce(context.Background())
+		}
+	}
+	// "dead" fails four probes in a row and "suspect" the last two: the
+	// detector's dead and suspect thresholds.
+	poll(2)
+	infos["suspect"].Store(nil)
+	poll(2)
+	states := map[string]string{}
+	for _, v := range cc.Peers() {
+		states[names[slices.Index(addrs, v.Addr)]] = v.State
+	}
+	wantStates := map[string]string{
+		"dead": "dead", "suspect": "suspect", "loaded": "alive", "idle": "alive", "draining": "alive",
+	}
+	if !maps.Equal(states, wantStates) {
+		t.Fatalf("peer states %v, want %v", states, wantStates)
+	}
+
+	order := func() []string {
+		var got []string
+		for _, n := range cc.candidates() {
+			got = append(got, names[slices.Index(addrs, n.addr)])
+		}
+		return got
+	}
+	// Two routable nodes: power of two choices samples both, in either
+	// order, so every dispatch must put the idle one first.
+	least, fallback := telemetry.ClusterRoutedLeastLoaded.Load(), telemetry.ClusterRoutedFallback.Load()
+	want := []string{"idle", "loaded", "suspect", "dead", "draining"}
+	for range 16 {
+		if got := order(); !slices.Equal(got, want) {
+			t.Fatalf("candidates %v, want %v", got, want)
+		}
+	}
+	if got := telemetry.ClusterRoutedLeastLoaded.Load() - least; got != 16 {
+		t.Errorf("least-loaded routings rose by %d, want 16", got)
+	}
+	if got := telemetry.ClusterRoutedFallback.Load() - fallback; got != 0 {
+		t.Errorf("fallback routings rose by %d with routable nodes, want 0", got)
+	}
+
+	// No routable node: both alive nodes start draining.
+	infos["loaded"].Store(&cluster.Info{NodeID: "loaded", Draining: true})
+	infos["idle"].Store(&cluster.Info{NodeID: "idle", Draining: true})
+	poll(1)
+	fallback = telemetry.ClusterRoutedFallback.Load()
+	want = []string{"suspect", "dead", "loaded", "draining", "idle"}
+	if got := order(); !slices.Equal(got, want) {
+		t.Fatalf("candidates with no routable node %v, want %v", got, want)
+	}
+	if got := telemetry.ClusterRoutedFallback.Load() - fallback; got != 1 {
+		t.Errorf("fallback routings rose by %d, want 1", got)
 	}
 }

@@ -1,7 +1,6 @@
 // Package cluster is the membership layer for a fleet of szxd nodes: a
 // static seed list of peers, an HTTP poller against each peer's
-// /v1/cluster/info (falling back to /readyz for nodes that predate the
-// info endpoint), and a per-peer failure-detection state machine
+// /v1/cluster/info, and a per-peer failure-detection state machine
 //
 //	alive → suspect → dead → (rejoin) alive
 //
@@ -41,11 +40,11 @@ const (
 	// StateAlive: the last probe succeeded (or the peer has not been probed
 	// yet — peers start alive so a fresh cluster routes immediately).
 	StateAlive State = iota
-	// StateSuspect: SuspectAfter consecutive probes failed. Routing treats
+	// StateSuspect: suspectAfter consecutive probes failed. Routing treats
 	// suspects as a last resort, but they are not written off: one good
 	// probe heals them.
 	StateSuspect
-	// StateDead: DeadAfter consecutive probes failed. Routing excludes dead
+	// StateDead: deadAfter consecutive probes failed. Routing excludes dead
 	// peers entirely; polling continues so a recovered peer rejoins.
 	StateDead
 )
@@ -81,6 +80,15 @@ type Info struct {
 // its cap; least-loaded routing compares these directly.
 func (i Info) Load() int { return i.InFlight + i.QueueDepth }
 
+// The failure detector's thresholds, in consecutive failed probes: an alive
+// peer turns suspect at suspectAfter and dead at deadAfter. At the default
+// 1 s poll interval that is about two and four seconds after a peer stops
+// answering.
+const (
+	suspectAfter = 2
+	deadAfter    = 4
+)
+
 // Config tunes a Membership. Zero fields get production-shaped defaults.
 type Config struct {
 	// Self is this node's own advertised address; a peer entry equal to it
@@ -89,44 +97,12 @@ type Config struct {
 	Self string
 	// Peers is the static seed list: base URLs or host:port strings.
 	Peers []string
-	// PollInterval is the probe cadence (0 = 1s).
+	// PollInterval is the probe cadence (0 = 1s). One poll round, every
+	// probe included, is bounded by half of it, capped at 2s.
 	PollInterval time.Duration
-	// PollTimeout bounds one probe (0 = half the interval, capped at 2s).
-	PollTimeout time.Duration
-	// SuspectAfter is the consecutive-failure count that moves an alive
-	// peer to suspect (0 = 2).
-	SuspectAfter int
-	// DeadAfter is the consecutive-failure count that moves a peer to dead
-	// (0 = 4). Must be ≥ SuspectAfter to be meaningful.
-	DeadAfter int
-	// HTTPClient overrides the probe client (nil = a pooled client with
-	// the poll timeout).
-	HTTPClient *http.Client
 	// Logger, when non-nil, receives one structured line per state
 	// transition — the membership audit trail.
 	Logger *slog.Logger
-}
-
-func (c Config) withDefaults() Config {
-	if c.PollInterval <= 0 {
-		c.PollInterval = time.Second
-	}
-	if c.PollTimeout <= 0 {
-		c.PollTimeout = c.PollInterval / 2
-		if c.PollTimeout > 2*time.Second {
-			c.PollTimeout = 2 * time.Second
-		}
-	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 2
-	}
-	if c.DeadAfter <= 0 {
-		c.DeadAfter = 4
-	}
-	if c.DeadAfter < c.SuspectAfter {
-		c.DeadAfter = c.SuspectAfter
-	}
-	return c
 }
 
 // NormalizeAddr turns a peer entry into a base URL: "host:8080" becomes
@@ -180,9 +156,10 @@ func (v PeerView) Suspect() bool { return v.state == StateSuspect }
 
 // Membership tracks the health and load of a fixed peer set.
 type Membership struct {
-	cfg   Config
-	hc    *http.Client
-	peers []*peer
+	cfg     Config
+	timeout time.Duration // bounds one poll round
+	hc      *http.Client
+	peers   []*peer
 
 	startOnce sync.Once
 	stop      chan struct{}
@@ -192,12 +169,15 @@ type Membership struct {
 // New builds a Membership over cfg.Peers (minus cfg.Self). It does not
 // start polling; call Start, or PollOnce for a synchronous round.
 func New(cfg Config) *Membership {
-	cfg = cfg.withDefaults()
+	if cfg.PollInterval <= 0 {
+		cfg.PollInterval = time.Second
+	}
 	self := NormalizeAddr(cfg.Self)
 	m := &Membership{
-		cfg:  cfg,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+		cfg:     cfg,
+		timeout: min(cfg.PollInterval/2, 2*time.Second),
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	seen := make(map[string]bool)
 	for _, p := range cfg.Peers {
@@ -211,15 +191,12 @@ func New(cfg Config) *Membership {
 		m.peers = append(m.peers, pr)
 		telemetry.ClusterNodeRequests(addr) // register the node label eagerly
 	}
-	m.hc = cfg.HTTPClient
-	if m.hc == nil {
-		m.hc = &http.Client{
-			Timeout: cfg.PollTimeout,
-			Transport: &http.Transport{
-				MaxIdleConnsPerHost: 2,
-				IdleConnTimeout:     90 * time.Second,
-			},
-		}
+	m.hc = &http.Client{
+		Timeout: m.timeout,
+		Transport: &http.Transport{
+			MaxIdleConnsPerHost: 2,
+			IdleConnTimeout:     90 * time.Second,
+		},
 	}
 	m.publishStateGauges()
 	return m
@@ -268,7 +245,7 @@ func (m *Membership) PollOnce(ctx context.Context) {
 	if len(m.peers) == 0 {
 		return
 	}
-	ctx, cancel := context.WithTimeout(ctx, m.cfg.PollTimeout)
+	ctx, cancel := context.WithTimeout(ctx, m.timeout)
 	defer cancel()
 	var wg sync.WaitGroup
 	results := make([]probeResult, len(m.peers))
@@ -292,10 +269,10 @@ type probeResult struct {
 	info *Info
 }
 
-// probe hits one peer's /v1/cluster/info; a 404 (an older node without the
-// endpoint) degrades to /readyz, where 200 means alive and 503 means alive
-// but draining — a draining peer is a healthy process that asked not to
-// receive work, which is a routing fact, not a failure.
+// probe hits one peer's /v1/cluster/info. Only a 200 with a parseable body
+// counts as alive; a draining peer still answers 200 with Draining set,
+// since a draining peer is a healthy process that asked not to receive
+// work, which is a routing fact, not a failure.
 func (m *Membership) probe(ctx context.Context, addr string) probeResult {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/v1/cluster/info", nil)
 	if err != nil {
@@ -306,32 +283,11 @@ func (m *Membership) probe(ctx context.Context, addr string) probeResult {
 		return probeResult{}
 	}
 	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		var info Info
-		if json.NewDecoder(resp.Body).Decode(&info) != nil {
-			return probeResult{}
-		}
-		return probeResult{ok: true, info: &info}
-	case http.StatusNotFound:
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/readyz", nil)
-		if err != nil {
-			return probeResult{}
-		}
-		r2, err := m.hc.Do(req)
-		if err != nil {
-			return probeResult{}
-		}
-		defer r2.Body.Close()
-		switch r2.StatusCode {
-		case http.StatusOK:
-			return probeResult{ok: true, info: &Info{}}
-		case http.StatusServiceUnavailable:
-			return probeResult{ok: true, info: &Info{Draining: true}}
-		}
+	var info Info
+	if resp.StatusCode != http.StatusOK || json.NewDecoder(resp.Body).Decode(&info) != nil {
 		return probeResult{}
 	}
-	return probeResult{}
+	return probeResult{ok: true, info: &info}
 }
 
 // apply runs the failure-detector transition for one probe outcome.
@@ -345,9 +301,9 @@ func (m *Membership) apply(p *peer, r probeResult) {
 	}
 	fails := int(p.fails.Add(1))
 	switch {
-	case fails >= m.cfg.DeadAfter:
+	case fails >= deadAfter:
 		m.transition(p, StateDead)
-	case fails >= m.cfg.SuspectAfter:
+	case fails >= suspectAfter:
 		m.transition(p, StateSuspect)
 	}
 }

@@ -34,7 +34,6 @@ type fakePeer struct {
 	srv      *httptest.Server
 	down     atomic.Bool
 	draining atomic.Bool
-	legacy   atomic.Bool // 404 the info endpoint, forcing the readyz fallback
 }
 
 func newFakePeer(t *testing.T, nodeID string) *fakePeer {
@@ -46,27 +45,12 @@ func newFakePeer(t *testing.T, nodeID string) *fakePeer {
 			http.Error(w, "down", http.StatusInternalServerError)
 			return
 		}
-		if p.legacy.Load() {
-			http.NotFound(w, nil)
-			return
-		}
 		_ = json.NewEncoder(w).Encode(Info{
 			NodeID:     nodeID,
 			InFlight:   3,
 			QueueDepth: 2,
 			Draining:   p.draining.Load(),
 		})
-	})
-	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, _ *http.Request) {
-		if p.down.Load() {
-			http.Error(w, "down", http.StatusInternalServerError)
-			return
-		}
-		if p.draining.Load() {
-			http.Error(w, "draining", http.StatusServiceUnavailable)
-			return
-		}
-		_, _ = w.Write([]byte("ready\n"))
 	})
 	p.srv = httptest.NewServer(mux)
 	t.Cleanup(p.srv.Close)
@@ -90,12 +74,7 @@ func onlyPeer(t *testing.T, m *Membership) PeerView {
 
 func TestFailureDetectorStateMachine(t *testing.T) {
 	p := newFakePeer(t, "n1")
-	m := New(Config{
-		Peers:        []string{p.srv.URL},
-		SuspectAfter: 2,
-		DeadAfter:    4,
-		PollTimeout:  500 * time.Millisecond,
-	})
+	m := New(Config{Peers: []string{p.srv.URL}})
 
 	// Fresh peers start alive, before any probe.
 	if v := onlyPeer(t, m); !v.Alive() {
@@ -108,7 +87,7 @@ func TestFailureDetectorStateMachine(t *testing.T) {
 		t.Fatalf("after good probe: state=%s nodeID=%q load=%d, want alive/n1/5", v.State, v.NodeID, v.Load)
 	}
 
-	// One failure: still alive (below SuspectAfter).
+	// One failure: still alive (below suspectAfter).
 	p.down.Store(true)
 	pollN(m, 1)
 	if v := onlyPeer(t, m); !v.Alive() || v.Fails != 1 {
@@ -138,7 +117,7 @@ func TestFailureDetectorStateMachine(t *testing.T) {
 func TestDrainingPeerIsAliveButNotRoutable(t *testing.T) {
 	p := newFakePeer(t, "n1")
 	p.draining.Store(true)
-	m := New(Config{Peers: []string{p.srv.URL}, PollTimeout: 500 * time.Millisecond})
+	m := New(Config{Peers: []string{p.srv.URL}})
 	pollN(m, 1)
 	v := onlyPeer(t, m)
 	if !v.Alive() {
@@ -146,24 +125,6 @@ func TestDrainingPeerIsAliveButNotRoutable(t *testing.T) {
 	}
 	if v.Routable() {
 		t.Fatal("draining peer reported routable")
-	}
-}
-
-func TestReadyzFallback(t *testing.T) {
-	p := newFakePeer(t, "n1")
-	p.legacy.Store(true) // info endpoint 404s; poller must degrade to /readyz
-	m := New(Config{Peers: []string{p.srv.URL}, PollTimeout: 500 * time.Millisecond})
-
-	pollN(m, 1)
-	if v := onlyPeer(t, m); !v.Alive() || v.Draining {
-		t.Fatalf("legacy ready peer: state=%s draining=%v, want alive/false", v.State, v.Draining)
-	}
-
-	p.draining.Store(true)
-	pollN(m, 1)
-	v := onlyPeer(t, m)
-	if !v.Alive() || !v.Draining {
-		t.Fatalf("legacy draining peer: state=%s draining=%v, want alive/true", v.State, v.Draining)
 	}
 }
 
@@ -214,7 +175,7 @@ func TestStartStopAndStopWithoutStart(t *testing.T) {
 
 func TestDebugHandler(t *testing.T) {
 	p := newFakePeer(t, "n1")
-	m := New(Config{Self: "localhost:7777", Peers: []string{p.srv.URL}, PollTimeout: 500 * time.Millisecond})
+	m := New(Config{Self: "localhost:7777", Peers: []string{p.srv.URL}})
 	pollN(m, 1)
 
 	rr := httptest.NewRecorder()

@@ -84,9 +84,9 @@ func urls(nodes []*node) []string {
 	return out
 }
 
-// TestClusterByteIdentity pins the routing layer's transparency: whatever
-// policy routes a request, one-shot or batched, the response bytes must
-// equal what a single-node Client gets from one szxd.
+// TestClusterByteIdentity pins the routing layer's transparency: whichever
+// node least-loaded routing picks, one-shot or batched, the response bytes
+// must equal what a single-node Client gets from one szxd.
 func TestClusterByteIdentity(t *testing.T) {
 	nodes := startCluster(t, 3)
 	ctx := context.Background()
@@ -119,71 +119,60 @@ func TestClusterByteIdentity(t *testing.T) {
 		t.Fatalf("single-node batch decompress: %v", err)
 	}
 
-	cases := []struct {
-		name string
-		cfg  client.ClusterConfig
-	}{
-		{"hash", client.ClusterConfig{Policy: client.PolicyHash}},
-		{"least_loaded", client.ClusterConfig{Policy: client.PolicyLeastLoaded}},
-		{"ordered", client.ClusterConfig{Policy: client.PolicyOrdered}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := tc.cfg
-			cfg.Nodes = urls(nodes)
-			cfg.PollInterval = -1 // drive membership synchronously
-			cc, err := client.NewCluster(cfg)
-			if err != nil {
-				t.Fatalf("NewCluster: %v", err)
-			}
-			defer cc.Close()
-			cc.Membership().PollOnce(ctx)
-
-			for i := range 8 {
-				kctx := client.WithAffinityKey(ctx, string(rune('a'+i)))
-				got, err := cc.Compress(kctx, vals, p)
-				if err != nil {
-					t.Fatalf("cluster compress (%d): %v", i, err)
-				}
-				if !bytes.Equal(got, want) {
-					t.Fatalf("cluster compress (%d): %d bytes != single-node %d bytes", i, len(got), len(want))
-				}
-				gotVals, err := cc.Decompress(kctx, got)
-				if err != nil {
-					t.Fatalf("cluster decompress (%d): %v", i, err)
-				}
-				if len(gotVals) != len(wantVals) {
-					t.Fatalf("cluster decompress (%d): %d values, want %d", i, len(gotVals), len(wantVals))
-				}
-				for j := range gotVals {
-					if gotVals[j] != wantVals[j] {
-						t.Fatalf("cluster decompress (%d): value %d = %v, want %v", i, j, gotVals[j], wantVals[j])
-					}
-				}
-			}
-
-			results, err := cc.CompressBatch(ctx, arrays, p)
-			if err != nil {
-				t.Fatalf("cluster batch compress: %v", err)
-			}
-			comps := make([][]byte, len(results))
-			for i, r := range results {
-				if r.Err != nil || !bytes.Equal(r.Comp, wantComps[i]) {
-					t.Fatalf("cluster batch compress: array %d differs from single-node (err %v)", i, r.Err)
-				}
-				comps[i] = r.Comp
-			}
-			batchVals, err := cc.DecompressBatch(ctx, comps, client.Params{})
-			if err != nil {
-				t.Fatalf("cluster batch decompress: %v", err)
-			}
-			for i, r := range batchVals {
-				if r.Err != nil || !slices.Equal(r.Values, wantBatchVals[i].Values) {
-					t.Fatalf("cluster batch decompress: array %d differs from single-node (err %v)", i, r.Err)
-				}
-			}
+	t.Run("least_loaded", func(t *testing.T) {
+		cc, err := client.NewCluster(client.ClusterConfig{
+			Nodes:        urls(nodes),
+			PollInterval: -1, // drive membership synchronously
 		})
-	}
+		if err != nil {
+			t.Fatalf("NewCluster: %v", err)
+		}
+		defer cc.Close()
+		cc.Membership().PollOnce(ctx)
+
+		for i := range 8 {
+			got, err := cc.Compress(ctx, vals, p)
+			if err != nil {
+				t.Fatalf("cluster compress (%d): %v", i, err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cluster compress (%d): %d bytes != single-node %d bytes", i, len(got), len(want))
+			}
+			gotVals, err := cc.Decompress(ctx, got)
+			if err != nil {
+				t.Fatalf("cluster decompress (%d): %v", i, err)
+			}
+			if len(gotVals) != len(wantVals) {
+				t.Fatalf("cluster decompress (%d): %d values, want %d", i, len(gotVals), len(wantVals))
+			}
+			for j := range gotVals {
+				if gotVals[j] != wantVals[j] {
+					t.Fatalf("cluster decompress (%d): value %d = %v, want %v", i, j, gotVals[j], wantVals[j])
+				}
+			}
+		}
+
+		results, err := cc.CompressBatch(ctx, arrays, p)
+		if err != nil {
+			t.Fatalf("cluster batch compress: %v", err)
+		}
+		comps := make([][]byte, len(results))
+		for i, r := range results {
+			if r.Err != nil || !bytes.Equal(r.Comp, wantComps[i]) {
+				t.Fatalf("cluster batch compress: array %d differs from single-node (err %v)", i, r.Err)
+			}
+			comps[i] = r.Comp
+		}
+		batchVals, err := cc.DecompressBatch(ctx, comps, client.Params{})
+		if err != nil {
+			t.Fatalf("cluster batch decompress: %v", err)
+		}
+		for i, r := range batchVals {
+			if r.Err != nil || !slices.Equal(r.Values, wantBatchVals[i].Values) {
+				t.Fatalf("cluster batch decompress: array %d differs from single-node (err %v)", i, r.Err)
+			}
+		}
+	})
 }
 
 // TestClusterSurvivesNodeKill is the acceptance-criterion e2e: a 3-node
@@ -195,7 +184,6 @@ func TestClusterSurvivesNodeKill(t *testing.T) {
 	nodes := startCluster(t, 3)
 	cc, err := client.NewCluster(client.ClusterConfig{
 		Nodes:        urls(nodes),
-		Policy:       client.PolicyLeastLoaded,
 		Retry:        client.RetryPolicy{MaxAttempts: 5, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 100 * time.Millisecond},
 		RetryBudget:  1,
 		PollInterval: 20 * time.Millisecond,
@@ -291,7 +279,6 @@ func TestExternalFleet(t *testing.T) {
 	}
 	cc, err := client.NewCluster(client.ClusterConfig{
 		Nodes:        strings.Split(fleet, ","),
-		Policy:       client.PolicyLeastLoaded,
 		Retry:        client.RetryPolicy{MaxAttempts: 4, BaseBackoff: 5 * time.Millisecond, MaxBackoff: 250 * time.Millisecond},
 		RetryBudget:  0.5,
 		PollInterval: 100 * time.Millisecond,
@@ -343,7 +330,7 @@ func TestExternalFleet(t *testing.T) {
 // draining (plus Retry-After, like /readyz) once drain begins.
 func TestClusterInfoEndpoint(t *testing.T) {
 	n := startNode(t, service.Config{NodeID: "e2e-node", DisableTracing: true})
-	m := cluster.New(cluster.Config{Peers: []string{n.url}, PollTimeout: time.Second})
+	m := cluster.New(cluster.Config{Peers: []string{n.url}})
 	ctx := context.Background()
 
 	m.PollOnce(ctx)

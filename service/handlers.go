@@ -329,7 +329,7 @@ func (s *Server) handleStreamDecompress(w http.ResponseWriter, r *http.Request) 
 	for {
 		n, rerr := pr.Read(vals)
 		if n > 0 {
-			wireconv.PutF32(out, vals[:n])
+			wireconv.Put(out, vals[:n])
 			if !wrote {
 				w.Header().Set("Content-Type", contentTypeBinary)
 				wrote = true

@@ -12,13 +12,10 @@ import (
 // transitions and routing decisions happen a handful of times per request
 // or per poll round, never per block.
 var (
-	// Routing decisions, by the policy that made them. Fallback counts
-	// dispatches where no routable (alive, non-draining) node existed and
-	// the router resorted to a suspect or dead peer rather than failing
-	// outright.
-	ClusterRoutedHash        Counter
+	// Routing decisions: least-loaded picks, and fallbacks — dispatches
+	// where no routable (alive, non-draining) node existed and the router
+	// resorted to a suspect or dead peer rather than failing outright.
 	ClusterRoutedLeastLoaded Counter
-	ClusterRoutedOrdered     Counter
 	ClusterRoutedFallback    Counter
 
 	// Retries against another replica after a retryable failure (429/503 or

@@ -125,9 +125,7 @@ var registry = []metric{
 	{name: "szx_batch_arrays_per_request", help: "Arrays carried per batch request.", h: &BatchArraysPerRequest, scale: 1},
 	{name: "szx_batch_array_bytes", help: "Payload bytes per batched array.", h: &BatchArrayBytes, scale: 1},
 
-	{name: "szx_cluster_routing_total", help: "Cluster routing decisions, by the policy that made them (fallback = no routable node, resorted to a suspect/dead peer).", labels: `{policy="hash"}`, c: &ClusterRoutedHash},
-	{name: "szx_cluster_routing_total", labels: `{policy="least_loaded"}`, c: &ClusterRoutedLeastLoaded},
-	{name: "szx_cluster_routing_total", labels: `{policy="ordered"}`, c: &ClusterRoutedOrdered},
+	{name: "szx_cluster_routing_total", help: "Cluster routing decisions, by the policy that made them (fallback = no routable node, resorted to a suspect/dead peer).", labels: `{policy="least_loaded"}`, c: &ClusterRoutedLeastLoaded},
 	{name: "szx_cluster_routing_total", labels: `{policy="fallback"}`, c: &ClusterRoutedFallback},
 	{name: "szx_cluster_retries_total", help: "Requests retried against another replica after a retryable failure.", c: &ClusterRetries},
 	{name: "szx_cluster_budget_denied_total", help: "Retries suppressed by the amplification budget.", labels: `{kind="retry"}`, c: &ClusterRetryBudgetDenied},
