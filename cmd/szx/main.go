@@ -122,6 +122,11 @@ func main() {
 			"                            (default: CPU feature detection; output is\n"+
 			"                            byte-identical either way, -stats shows the\n"+
 			"                            active set)\n")
+		fmt.Fprintf(out, "\ntiming:\n"+
+			"  on single-buffer streams the MB/s that -z and -x print times the\n"+
+			"  codec alone (plus plan resolution on -z); reading, converting and\n"+
+			"  writing the files are outside it. On streaming containers it\n"+
+			"  times the whole pass, file I/O included.\n")
 		fmt.Fprintf(out, "\nexit codes:\n"+
 			"  0  success\n"+
 			"  2  usage error: bad flags or invalid codec parameters\n"+
@@ -371,8 +376,8 @@ func compressFile[T szx.Float](inPath, outPath string, opt szx.Options, quiet bo
 	if rem := len(raw) % wireconv.Size[T](); rem != 0 {
 		return exitCorrupt, fmt.Errorf("input is not a whole number of %T values (%d trailing bytes)", T(0), rem)
 	}
+	data := wireconv.ValuesView[T](raw)
 	start := time.Now()
-	data := wireconv.Values[T](nil, raw)
 	p, err := szx.ResolvePlan(data, opt)
 	if err != nil {
 		return exitCodeFor(err), err
@@ -421,20 +426,22 @@ func runDecompress(inPath, outPath string, workers int, quiet bool) {
 	}
 	start := time.Now()
 	var payload []byte
+	var elapsed time.Duration
 	if h.Type == szx.TypeFloat64 {
 		vals, derr := szx.DecompressFloat64Parallel(raw, workers)
+		elapsed = time.Since(start)
 		if derr != nil {
 			failErr(derr)
 		}
-		payload = wireconv.Append(nil, vals)
+		payload = wireconv.BytesView(vals)
 	} else {
 		vals, derr := szx.DecompressParallel(raw, workers)
+		elapsed = time.Since(start)
 		if derr != nil {
 			failErr(derr)
 		}
-		payload = wireconv.Append(nil, vals)
+		payload = wireconv.BytesView(vals)
 	}
-	elapsed := time.Since(start)
 	if err := os.WriteFile(outPath, payload, 0o644); err != nil {
 		fail(exitIO, "%v", err)
 	}

@@ -12,10 +12,10 @@ import (
 )
 
 // The avx2 kernel set: thin Go drivers over the vector loops in
-// stats_amd64.s / encode_amd64.s / unpack_amd64.s. Each one falls back
-// to the generic loop for blocks too small to fill a vector group, and
-// finishes ragged tails with the same scalar code the generic set runs, so
-// the two sets stay byte-identical by construction.
+// stats_amd64.s / encode_amd64.s / emit_amd64.s / unpack_amd64.s. Each one
+// falls back to the generic loop for blocks too small to fill a vector
+// group, and finishes ragged tails with the same scalar code the generic
+// set runs, so the two sets stay byte-identical by construction.
 func avx232() Impl32 {
 	return Impl32{
 		Stats:      statsAVX2F32,
@@ -102,8 +102,7 @@ func encNormF64Asm(p *float64, wshp *uint64, ldp *uint64, n int, mu, eSafe, negE
 
 // encodeScanAVX2F32 runs the fused normalize+guard+lead pass in AVX2 into
 // scr's word and lead-count buffers, then emits the packed lead array and
-// mid-bytes from the precomputed values in a scalar loop whose only
-// loop-carried work is the output-cursor add. Any guard fast-fail (or the
+// mid-bytes from the staged values (emitF32). Any guard fast-fail (or the
 // negative-eSafe sentinel for subnormal bounds) reruns the whole block
 // through the generic kernel: the fallback re-applies the exact float64
 // check per value, so streams stay byte-identical with fast-fail lanes
@@ -160,7 +159,7 @@ func encodeScanAVX2F32(lead, mid []byte, blk []float32, mu float32, reqLen int,
 			prev = w
 		}
 	}
-	return emitF32(lead, mid, wsh, ldv, n, reqBytes), true
+	return emitF32(lead, mid, wsh[:n], ldv[:n], reqBytes), true
 }
 
 func encodeScanAVX2F64(lead, mid []byte, blk []float64, mu float64, reqLen int,
@@ -211,64 +210,108 @@ func encodeScanAVX2F64(lead, mid []byte, blk []float64, mu float64, reqLen int,
 			prev = w
 		}
 	}
-	return emitF64(lead, mid, wsh, ldv, n, reqBytes), true
+	return emitF64(lead, mid, wsh[:n], ldv[:n], reqBytes), true
 }
 
-// emitF32 commits the precomputed per-value outputs: the byte-swapped
-// shifted word is stored verbatim at the output cursor (its slack bytes are
-// overwritten by the next store, exactly like the generic kernel's wide
-// big-endian store), the cursor advances by reqBytes-ld, and the 2-bit lead
-// codes pack four per byte.
+// Implemented in emit_amd64.s. Emit whole lead bytes of values while
+// i < n and each lane's 16-byte store ends inside midLen, and return how
+// far they got: values emitted and mid-bytes written. The Go caller
+// guarantees one iteration: n ≥ 4 and midLen ≥ 16 (f32) or 32 (f64).
+//
+//go:noescape
+func emitF32Asm(lead, mid *byte, wsh, ldv *uint32, n, midLen int, tab *encTab32) (i, idx int)
+
+//go:noescape
+func emitF64Asm(lead, mid *byte, wsh, ldv *uint64, n, midLen int, tab *encTab64) (i, idx int)
+
+// emitF32 commits the staged float32 values to lead and mid and returns
+// the mid length: the table loop while its lane stores fit in mid, then
+// the scalar tail.
+func emitF32(lead, mid []byte, wsh, ldv []uint32, reqBytes int) int {
+	i, idx := 0, 0
+	if len(wsh) >= 4 && len(mid) >= 16 {
+		i, idx = emitF32Asm(&lead[0], &mid[0], &wsh[0], &ldv[0], len(wsh)&^3, len(mid), &encTabs32[reqBytes-2])
+	}
+	return emitTail(lead, mid, wsh, ldv, i, idx, reqBytes)
+}
+
+func emitF64(lead, mid []byte, wsh, ldv []uint64, reqBytes int) int {
+	i, idx := 0, 0
+	if len(wsh) >= 4 && len(mid) >= 32 {
+		i, idx = emitF64Asm(&lead[0], &mid[0], &wsh[0], &ldv[0], len(wsh)&^3, len(mid), &encTabs64[reqBytes-2])
+	}
+	return emitTail(lead, mid, wsh, ldv, i, idx, reqBytes)
+}
+
+// emitTail commits the staged per-value outputs from value i (a multiple
+// of four) onwards, at mid cursor idx: the store-ready word is stored
+// verbatim at the cursor (its slack bytes are overwritten by the next
+// store, exactly like the generic kernel's wide big-endian store), the
+// cursor advances by reqBytes-ld, and the 2-bit lead codes pack four per
+// byte. It finishes whatever the table loop leaves: a ragged n%4, and the
+// values whose 16-byte lane store would pass the end of a tight mid.
 //
 // The stores go through unsafe so the cursor chain carries no per-iteration
-// bounds checks. Safety: the caller verified len(mid) ≥ reqBytes*n+4, the
+// bounds checks. Safety: the caller verified len(mid) ≥ reqBytes*n+es, the
 // asm/tail clamp every ld into [0, reqBytes], so before store i the cursor
-// is ≤ reqBytes*i and the 4-byte store ends ≤ reqBytes*n+4.
-// Both loops use the slice-advance shape (length compares in the loop
-// condition, constant indices in the body) so the staging-buffer reads and
-// lead stores carry no bounds checks; see the BCE notes in EXPERIMENTS.md.
-func emitF32(lead, mid []byte, wsh *[MaxBlockSize]uint32, ldv *[MaxBlockSize]uint32, n, reqBytes int) int {
+// is ≤ reqBytes*i and the es-byte store ends ≤ reqBytes*n+es.
+func emitTail[B uint32 | uint64](lead, mid []byte, wsh, ldv []B, i, idx, reqBytes int) int {
 	base := unsafe.Pointer(&mid[0])
-	idx := 0
-	ws, ld := wsh[:n], ldv[:n]
-	for i := range ws {
-		*(*uint32)(unsafe.Add(base, idx)) = ws[i]
-		idx += reqBytes - int(ld[i])
+	ws, ld := wsh[i:], ldv[i:]
+	for j := range ws {
+		*(*B)(unsafe.Add(base, idx)) = ws[j]
+		idx += reqBytes - int(ld[j])
 	}
-	for out := lead; len(out) > 0 && len(ld) >= 4; out = out[1:] {
-		out[0] = byte(ld[0])<<6 | byte(ld[1])<<4 | byte(ld[2])<<2 | byte(ld[3])
-		ld = ld[4:]
-	}
-	if len(ld) > 0 && len(ld) < 4 {
+	for out := lead[i>>2:]; len(ld) > 0; out = out[1:] {
 		var b byte
-		for sh := 6; len(ld) > 0; ld, sh = ld[1:], sh-2 {
+		for sh := 6; sh >= 0 && len(ld) > 0; ld, sh = ld[1:], sh-2 {
 			b |= byte(ld[0]) << uint(sh)
 		}
-		lead[n>>2] = b
+		out[0] = b
 	}
 	return idx
 }
 
-func emitF64(lead, mid []byte, wsh *[MaxBlockSize]uint64, ldv *[MaxBlockSize]uint64, n, reqBytes int) int {
-	base := unsafe.Pointer(&mid[0])
-	idx := 0
-	ws, ld := wsh[:n], ldv[:n]
-	for i := range ws {
-		*(*uint64)(unsafe.Add(base, idx)) = ws[i]
-		idx += reqBytes - int(ld[i])
+// An encode table holds, per reqBytes class and per lead key (laid out as
+// for the decode tables), the PSHUFB row that compacts one lane's
+// store-ready words into its mid-bytes, and the number of bytes the lane
+// emits.
+type (
+	encTab32 struct {
+		shuf [256][16]byte
+		adv  [256]byte
 	}
-	for out := lead; len(out) > 0 && len(ld) >= 4; out = out[1:] {
-		out[0] = byte(ld[0])<<6 | byte(ld[1])<<4 | byte(ld[2])<<2 | byte(ld[3])
-		ld = ld[4:]
+	encTab64 struct {
+		shuf [16][16]byte
+		adv  [16]byte
 	}
-	if len(ld) > 0 && len(ld) < 4 {
-		var b byte
-		for sh := 6; len(ld) > 0; ld, sh = ld[1:], sh-2 {
-			b |= byte(ld[0]) << uint(sh)
+)
+
+var (
+	encTabs32 [3]encTab32 // reqBytes 2..4
+	encTabs64 [7]encTab64 // reqBytes 2..8
+)
+
+// encodeLane builds the row for one lane of 16/es store-ready staged words
+// whose 2-bit lead codes are packed into key, first word in the highest
+// bits: word q's bytes [0, reqBytes-l_q) go to the next free output bytes,
+// every other byte of the row is 0x80 (zero), and adv is Σ(reqBytes-l_q).
+// It is the inverse of decodeLane. Keys holding a code above reqBytes
+// cannot occur (the scans clamp every code to reqBytes); their words emit
+// nothing.
+func encodeLane(es, reqBytes, key int) (shuf [16]byte, adv byte) {
+	for p := range shuf {
+		shuf[p] = 0x80
+	}
+	words := 16 / es
+	for q := 0; q < words; q++ {
+		l := key >> uint(2*(words-1-q)) & 3
+		for j := 0; j < reqBytes-l; j++ {
+			shuf[adv] = byte(q*es + j)
+			adv++
 		}
-		lead[n>>2] = b
 	}
-	return idx
+	return shuf, adv
 }
 
 // --- decode ----------------------------------------------------------------
@@ -300,10 +343,20 @@ var (
 	decTabs64 [7]decTab64 // reqBytes 2..8
 )
 
-// init fills the decode tables. It is an init function because variable
-// initializers compile to code the linker places ahead of the encode
-// scans, shifting their alignment.
+// init fills the encode and decode tables. It is an init function because
+// variable initializers compile to code the linker places ahead of the
+// encode scans, shifting their alignment.
 func init() {
+	for rb := range encTabs32 {
+		for k := range encTabs32[rb].shuf {
+			encTabs32[rb].shuf[k], encTabs32[rb].adv[k] = encodeLane(4, rb+2, k)
+		}
+	}
+	for rb := range encTabs64 {
+		for k := range encTabs64[rb].shuf {
+			encTabs64[rb].shuf[k], encTabs64[rb].adv[k] = encodeLane(8, rb+2, k)
+		}
+	}
 	for rb := range decTabs32 {
 		for k := range decTabs32[rb].e {
 			decTabs32[rb].e[k], decTabs32[rb].adv[k] = decodeLane(4, rb+2, k)

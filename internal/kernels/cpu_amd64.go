@@ -7,7 +7,7 @@ func cpuid(eaxIn, ecxIn uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // hasAVX2 reports whether the CPU and OS can run the avx2 kernel set:
-// AVX2 itself, BMI1+BMI2 (the surrounding Go emit loops lean on
+// AVX2 itself, BMI1+BMI2 (the Go drivers' scalar tails lean on
 // LZCNT/SHRX-class lowering, both Haswell-and-later like AVX2), and
 // OS-enabled XMM+YMM state (OSXSAVE set and XCR0 bits 1|2).
 func hasAVX2() bool {

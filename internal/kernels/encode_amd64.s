@@ -9,9 +9,8 @@
 //	wsh  = bswap(w << 8*ld)              (mid-bytes, store-ready)
 //
 // plus an optional vectorized guard fast-check. ld and wsh land in scratch
-// arrays; the Go emit loop then only advances the output cursor and stores
-// precomputed values, so the only loop-carried work left in Go is one
-// integer add.
+// arrays, from which the table-driven emit (emit_amd64.s) compacts the
+// mid-bytes and packs the lead codes.
 //
 // The guard accumulates a per-lane failure mask for any value whose
 // truncation error is NOT fast-accepted by the two-sided native-width

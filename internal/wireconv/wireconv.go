@@ -30,8 +30,7 @@ var hostLE = func() bool {
 // Float is the element types the wire carries.
 type Float interface{ ~float32 | ~float64 }
 
-// raw views vals' storage as bytes. Valid only while vals is alive and
-// unmoved; every exported caller copies out of the view before returning.
+// raw views vals' storage as bytes; the view aliases vals.
 func raw[T Float](vals []T) []byte {
 	if len(vals) == 0 {
 		return nil
@@ -95,6 +94,29 @@ func Values[T Float](dst []T, b []byte) []T {
 	dst = dst[:n]
 	Decode(dst, b)
 	return dst
+}
+
+// ValuesView returns b's wire values: b's own memory when the host is
+// little-endian and b is aligned for T, a decoded copy otherwise. A view
+// aliases b, so b must not change while the values are in use. A trailing
+// partial value is ignored.
+func ValuesView[T Float](b []byte) []T {
+	n := len(b) / Size[T]()
+	p := unsafe.SliceData(b)
+	if hostLE && n > 0 && uintptr(unsafe.Pointer(p))%unsafe.Alignof(T(0)) == 0 {
+		return unsafe.Slice((*T)(unsafe.Pointer(p)), n)
+	}
+	return Values[T](nil, b)
+}
+
+// BytesView returns vals' wire bytes: vals' own memory on little-endian
+// hosts, an encoded copy otherwise. A view aliases vals, so vals must not
+// change while the bytes are in use.
+func BytesView[T Float](vals []T) []byte {
+	if hostLE {
+		return raw(vals)
+	}
+	return Append(nil, vals)
 }
 
 // AppendF32 appends vals' wire bytes to dst.

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // refF32 is the portable reference encoding every path must match.
@@ -81,6 +82,47 @@ func TestBothPaths(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestViews pins both views: on a little-endian host they alias the
+// buffer they were given, and a buffer misaligned for T or a big-endian
+// host (hostLE=false) gets a converted copy holding the same values.
+func TestViews(t *testing.T) {
+	f32s := []float32{1.5, float32(math.NaN()), float32(math.Inf(-1)), -0.0, 3}
+	f64s := []float64{1.5, math.NaN(), math.Inf(1), -2}
+	viewCase(t, f32s, refF32(f32s))
+	viewCase(t, f64s, refF64(f64s))
+}
+
+func viewCase[T Float](t *testing.T, vals []T, wire []byte) {
+	saved := hostLE
+	defer func() { hostLE = saved }()
+	same := func(got []T) bool {
+		return bytes.Equal(Append(nil, got), wire)
+	}
+	aliasV := func(v []T, b []byte) bool {
+		return unsafe.Pointer(unsafe.SliceData(v)) == unsafe.Pointer(unsafe.SliceData(b))
+	}
+	if saved {
+		if v := ValuesView[T](wire); !aliasV(v, wire) || !same(v) {
+			t.Fatalf("%T: ValuesView does not alias an aligned buffer", vals[0])
+		}
+		if b := BytesView(vals); !aliasV(vals, b) || !bytes.Equal(b, wire) {
+			t.Fatalf("%T: BytesView does not alias the values", vals[0])
+		}
+	}
+	odd := make([]byte, len(wire)+1)[1:]
+	copy(odd, wire)
+	if v := ValuesView[T](odd); aliasV(v, odd) || !same(v) {
+		t.Fatalf("%T: ValuesView of a misaligned buffer: aliased %v, values %v", vals[0], aliasV(v, odd), v)
+	}
+	hostLE = false
+	if v := ValuesView[T](wire); aliasV(v, wire) || !same(v) {
+		t.Fatalf("%T: ValuesView on a big-endian host: aliased %v, values %v", vals[0], aliasV(v, wire), v)
+	}
+	if b := BytesView(vals); aliasV(vals, b) || !bytes.Equal(b, wire) {
+		t.Fatalf("%T: BytesView on a big-endian host did not copy the wire bytes", vals[0])
 	}
 }
 

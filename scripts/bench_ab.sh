@@ -20,6 +20,13 @@
 # the pairs the change won (ties count for neither), the parent's spread
 # (q3 - q1) / median, and any move past the metric's bound. The exit status
 # is 1 if a run failed, an op failed, or a metric got worse past its bound.
+#
+# Code placement moves these metrics on its own (a hot loop's 64-byte phase
+# has moved compress by 12%), so once both sides have built, the summary
+# also lists every text symbol of internal/kernels and internal/core, plus
+# datagen.genField, with its address and 64-byte phase on each side
+# (go tool nm of each side's .bench_build/perfbench), flags the symbols
+# whose phase moved, and appends the table to collected.jsonl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -69,17 +76,46 @@ def run(side, workload, pair):
     results.setdefault((workload, side), []).append(res)
 
 
+def placement():
+    """Address per side of each hot text symbol: {name: {side: address}}."""
+    table = {}
+    for side in ("parent", "change"):
+        proc = subprocess.run(["go", "tool", "nm", "-size", "-sort", "address",
+                               dirs[side] + "/.bench_build/perfbench"],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        for line in proc.stdout.splitlines():
+            f = line.split(None, 3)
+            if len(f) == 4 and f[2] in ("T", "t") and (
+                    f[3].startswith(("repro/internal/kernels.", "repro/internal/core."))
+                    or f[3] == "repro/internal/datagen.genField"):
+                table.setdefault(f[3], {})[side] = int(f[0], 16)
+    rows = [{"symbol": name, "parent": sides.get("parent"), "change": sides.get("change"),
+             "moved": len(sides) == 2 and sides["parent"] % 64 != sides["change"] % 64}
+            for name, sides in sorted(table.items(), key=lambda kv: min(kv[1].values()))]
+    log.write(json.dumps({"run": run_id, "ref": ref, "placement": rows}) + "\n")
+    log.flush()
+    return rows
+
+
+layout = []
 for pair in range(pairs):
     order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
     for workload in workloads:
         for side in order:
             run(side, workload, pair)
+    if pair == 0:
+        layout = placement()
 
 bad = False
 print("A/B: parent %s vs working tree, %d pairs, seed %s, %d s runs, run %s"
       % (ref, pairs, seed, bench["run_seconds"], run_id))
 for h in sorted(hosts):
     print("host: " + h)
+print("\nplacement (address/phase, phase = address mod 64; - = absent)")
+for row in layout:
+    cells = ["%x/%d" % (row[s], row[s] % 64) if row[s] is not None else "-" for s in ("parent", "change")]
+    print(("  %-72s %12s %12s  %s" % (row["symbol"][len("repro/internal/"):], cells[0], cells[1],
+                                       "MOVED" if row["moved"] else "")).rstrip())
 for workload in workloads:
     print("\n%s" % workload)
     for side in ("parent", "change"):

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"math/rand"
 	"net/http/httptest"
 	"regexp"
@@ -61,10 +62,32 @@ func TestBitHist(t *testing.T) {
 	}
 }
 
-// TestCountPackedLeads cross-checks the table-driven packed-lead counting
-// against a naive per-value tally for random code sequences and ragged
-// lengths.
+// TestCountPackedLeads cross-checks the bit-plane packed-lead counting
+// against two oracles: a naive per-value tally for random code sequences
+// and ragged lengths, and a per-byte table of code counts over every byte
+// value.
 func TestCountPackedLeads(t *testing.T) {
+	// leadCountTab[b] holds how many of b's four 2-bit fields equal each code.
+	var leadCountTab [256][4]int64
+	for b := 0; b < 256; b++ {
+		for s := 6; s >= 0; s -= 2 {
+			leadCountTab[b][(b>>uint(s))&3]++
+		}
+	}
+	// Every byte value, repeated across the 8-byte word loop and the tail.
+	for b := 0; b < 256; b++ {
+		for _, l := range []int{1, 7, 8, 9, 32} {
+			var want [4]int64
+			for k := range want {
+				want[k] = int64(l) * leadCountTab[b][k]
+			}
+			var tally BlockTally
+			tally.CountPackedLeads(bytes.Repeat([]byte{byte(b)}, l), 4*l)
+			if tally.Lead != want {
+				t.Fatalf("byte %#02x x%d: got %v, want %v", b, l, tally.Lead, want)
+			}
+		}
+	}
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(300)
