@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"math"
 	"runtime"
 	"testing"
@@ -38,28 +40,53 @@ func FuzzStreamReader(f *testing.F) {
 	f.Add([]byte("SZXS\x01\x00\x00\x00\x00"))
 	f.Fuzz(func(t *testing.T, blob []byte) {
 		// Both read schedules must agree on corrupt input too: the same
-		// values before the failure, and the same failing frame.
+		// values before the failure, and the same failing frame — through
+		// ReadAll, and through Read windows that hold the whole stream, hold
+		// it with room to spare, or hold a sliver of it.
 		want, werr := NewReader(bytes.NewReader(blob)).ReadAll()
+		check := func(how string, got []float32, gerr error) {
+			t.Helper()
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%s: readers disagree on validity: inline=%v pipelined=%v", how, werr, gerr)
+			}
+			var wfe, gfe *FrameError
+			if errors.As(werr, &wfe) != errors.As(gerr, &gfe) ||
+				wfe != nil && (wfe.Frame != gfe.Frame || wfe.Offset != gfe.Offset) {
+				t.Fatalf("%s: readers disagree on the failure: inline=%v pipelined=%v", how, werr, gerr)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s: pipelined reader got %d values, inline %d", how, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
+					t.Fatalf("%s: value %d differs between the inline and pipelined readers", how, i)
+				}
+			}
+		}
 		pr := NewPipeReader(bytes.NewReader(blob), 2)
 		got, gerr := pr.ReadAll()
 		if cerr := pr.Close(); cerr != nil {
 			t.Fatalf("close: %v", cerr)
 		}
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("readers disagree on validity: inline=%v pipelined=%v", werr, gerr)
-		}
-		var wfe, gfe *FrameError
-		if errors.As(werr, &wfe) != errors.As(gerr, &gfe) ||
-			wfe != nil && (wfe.Frame != gfe.Frame || wfe.Offset != gfe.Offset) {
-			t.Fatalf("readers disagree on the failure: inline=%v pipelined=%v", werr, gerr)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("pipelined reader got %d values, inline %d", len(got), len(want))
-		}
-		for i := range want {
-			if math.Float32bits(want[i]) != math.Float32bits(got[i]) {
-				t.Fatalf("value %d differs between the inline and pipelined readers", i)
+		check("ReadAll", got, gerr)
+		for _, size := range []int{max(len(want), 1), len(want) + 1, 64} {
+			pr := NewPipeReader(bytes.NewReader(blob), 2)
+			p := make([]float32, size)
+			got, gerr = nil, nil
+			for {
+				n, err := pr.Read(p)
+				got = append(got, p[:n]...)
+				if err != nil {
+					if err != io.EOF {
+						gerr = err
+					}
+					break
+				}
 			}
+			if cerr := pr.Close(); cerr != nil {
+				t.Fatalf("close: %v", cerr)
+			}
+			check(fmt.Sprintf("Read into %d values", size), got, gerr)
 		}
 	})
 }
@@ -113,7 +140,13 @@ func FuzzStreamPipeline(f *testing.F) {
 		for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 			var piped bytes.Buffer
 			pw := NewPipeWriter(&piped, opt, chunk, par)
-			perr := pw.Write(vals)
+			// Write must be done with its values when it returns: scribble
+			// over them before Close flushes the stream.
+			in := append([]float32(nil), vals...)
+			perr := pw.Write(in)
+			for i := range in {
+				in[i] = float32(math.NaN())
+			}
 			if perr == nil {
 				perr = pw.Close()
 			} else {

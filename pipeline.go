@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/core"
 	"repro/telemetry"
 	"repro/telemetry/trace"
 )
@@ -16,8 +17,8 @@ import (
 // runs three stages per chunk — submit (chunking, and the fixed-ratio seed
 // on chunk 0), encode (compress the chunk into a staged frame), emit (one
 // Write of the frame) — and reading three per frame — prefetch (read the
-// next frame), decode, deliver (hand its values to Read in order). Each
-// stage is written once; two schedules run them:
+// next frame and pick where it decodes), decode, deliver (hand its values
+// to Read in order). Each stage is written once; two schedules run them:
 //
 //   - inline (NewWriter, NewReader): one stage after another on the
 //     caller's goroutine through a single slot, with no ring, channels, or
@@ -39,16 +40,27 @@ import (
 // before touching the next, so frames hit the wire — and values reach the
 // caller — strictly in order no matter which worker finishes first.
 //
+// Ownership invariant: no goroutine reads a Write's values after the Write
+// returns, and none writes a Read's p after the Read returns. Within the
+// call both are lent to the workers, so the codec reads and writes caller
+// memory in place: a Write carrying two or more full chunks hands all but
+// its last full chunk to the encoders as they stand and waits for those
+// encodes before it returns, and a Read opens a window over p into which
+// every frame that wholly fits decodes straight to its place. Everything
+// else passes through a slot's own buffers, which never alias caller
+// memory.
+//
 // Backpressure invariant: the producer blocks when all K slots are in
 // flight, so memory is bounded by K × chunk on both the value and the
-// compressed side; slots are recycled through a free list, so the steady
-// state allocates nothing.
+// compressed side; slots circulate through a free list within a stream and
+// through a package-level pool across streams, so once the pool is warm a
+// stream allocates nothing.
 //
 // Error semantics: the first error (compression, decompression, I/O, or a
 // malformed frame) wins; it is pinned and returned from every subsequent
-// call. After an error the pipeline keeps draining internally so no
-// goroutine leaks and no channel send deadlocks; Close joins every
-// goroutine before returning.
+// call. After an error the writer keeps draining internally and the reader
+// stops its goroutines, so no goroutine leaks and no channel send
+// deadlocks; Close joins every goroutine before returning.
 
 // errStreamAborted is pinned as the terminal error by PipeWriter.Abort.
 var errStreamAborted = errors.New("szx: stream aborted")
@@ -60,10 +72,44 @@ type pipeSlot struct {
 	idx   int       // frame index (read side)
 	off   int64     // container offset of the frame's length prefix (read side)
 	t0    time.Time // slot acquisition time, for pipe_frame trace spans
-	vals  []float32 // chunk values (input on write, output on read)
+	buf   []float32 // the slot's own value buffer; never caller memory
+	vals  []float32 // the chunk's values: buf, or caller memory when lent
+	lent  bool      // vals is a Write's chunk or a Read window's room
 	frame []byte    // staged frame bytes (output on write, input on read)
 	err   error     // worker/prefetch failure for this slot
 	done  chan struct{}
+}
+
+// drop ends s's hold on its chunk: a lent view of caller memory is
+// forgotten and the slot's own buffer emptied, ready for the next chunk.
+func (s *pipeSlot) drop() { s.vals, s.lent, s.buf = nil, false, s.buf[:0] }
+
+// writeSlots and readSlots recycle slots, buffers included, across
+// streams. Each side has its own pool so a slot keeps the buffer shapes
+// its side needs: a writer's frame buffer is sized for a worst-case
+// encode, a reader's for the frames it has read.
+var (
+	writeSlots = sync.Pool{New: func() any { return new(pipeSlot) }}
+	readSlots  = sync.Pool{New: func() any { return new(pipeSlot) }}
+)
+
+// borrowSlots takes n slots from pool.
+func borrowSlots(pool *sync.Pool, n int) []*pipeSlot {
+	slots := make([]*pipeSlot, n)
+	for i := range slots {
+		slots[i] = pool.Get().(*pipeSlot)
+	}
+	return slots
+}
+
+// returnSlots gives slots back to pool. The caller guarantees that no
+// goroutine touches them again; each is reset, so no later stream can
+// reach the caller memory it was lent.
+func returnSlots(pool *sync.Pool, slots []*pipeSlot) {
+	for _, s := range slots {
+		*s = pipeSlot{buf: s.buf[:0], frame: s.frame[:0]}
+		pool.Put(s)
+	}
 }
 
 // pipeErr pins the first error observed anywhere in a pipeline.
@@ -109,17 +155,18 @@ type PipeWriter struct {
 	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
 	tr      *trace.Trace    // request trace from ctx; nil = untraced
 
-	// The pipelined schedule's ring; nil on the inline schedule, which
-	// runs every stage through slot.
+	// The slots, borrowed from writeSlots: the pipelined schedule's ring,
+	// or the inline schedule's one slot, borrowed on first use.
+	slots    []*pipeSlot
 	depth    int
-	free     chan *pipeSlot
+	free     chan *pipeSlot // nil on the inline schedule, as are work and emit
 	work     chan *pipeSlot
 	emit     chan *pipeSlot
 	wg       sync.WaitGroup // compression workers
 	emitDone chan struct{}
-	slot     pipeSlot
+	lent     sync.WaitGroup // encodes of chunks the Write in progress lent
 
-	buf    []float32
+	open   *pipeSlot // the slot the next values go into; always the one slot inline
 	seq    int
 	seed   float64 // fixed-ratio bound of chunk 0, set by submit before any hand-off
 	perr   pipeErr
@@ -140,14 +187,15 @@ func NewPipeWriter(w io.Writer, opt Options, chunkValues, parallelism int) *Pipe
 // NewPipeWriterContext is NewPipeWriter bound to a context: once ctx is
 // cancelled, in-flight and subsequent Write calls return ctx's error
 // instead of blocking on the pipeline (a producer stalled waiting for a
-// free ring slot wakes immediately), and Close skips the tail flush and
-// terminator, reporting the cancellation. This is what lets a server
-// thread an HTTP request context through the pipeline so an abandoned
-// request cannot strand its handler. Close must still be called to join
-// the goroutines; cancellation only guarantees the calls unblock promptly.
-// The emitter can stay blocked in w.Write until the sink itself unblocks —
-// hand the pipeline a sink that fails on cancellation (HTTP response
-// writers do).
+// free ring slot wakes immediately; a Write still waits for the encodes of
+// the chunks it lent, which is compute, not I/O), and Close skips the tail
+// flush and terminator, reporting the cancellation. This is what lets a
+// server thread an HTTP request context through the pipeline so an
+// abandoned request cannot strand its handler. Close must still be called
+// to join the goroutines; cancellation only guarantees the calls unblock
+// promptly. The emitter can stay blocked in w.Write until the sink itself
+// unblocks — hand the pipeline a sink that fails on cancellation (HTTP
+// response writers do).
 func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkValues, parallelism int) *PipeWriter {
 	pw := NewWriter(w, opt, chunkValues)
 	if parallelism <= 0 {
@@ -155,6 +203,7 @@ func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkVa
 	}
 	pw.depth = pipelineDepth(parallelism)
 	pw.ctx, pw.ctxDone, pw.tr = ctx, ctx.Done(), trace.FromContext(ctx)
+	pw.slots = borrowSlots(&writeSlots, pw.depth)
 	pw.free = make(chan *pipeSlot, pw.depth)
 	pw.work = make(chan *pipeSlot, pw.depth)
 	pw.emit = make(chan *pipeSlot, pw.depth)
@@ -164,8 +213,8 @@ func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkVa
 	// spans would flood the trace with overlapping intervals. The pipeline's
 	// trace story is the per-frame slot occupancy recorded by the emitter.
 	pw.opt.Spans = nil
-	for i := 0; i < pw.depth; i++ {
-		pw.free <- &pipeSlot{}
+	for _, s := range pw.slots {
+		pw.free <- s
 	}
 	pw.wg.Add(parallelism)
 	for i := 0; i < parallelism; i++ {
@@ -179,44 +228,62 @@ func NewPipeWriterContext(ctx context.Context, w io.Writer, opt Options, chunkVa
 	return pw
 }
 
-// submit is the first write stage. On chunk 0 of a fixed-ratio stream it
-// runs the full bound search, here on the producer goroutine, so workers
-// read the seed after the hand-off below. Inline, it then encodes and
-// emits the chunk straight from the caller's slice; pipelined, it copies
-// the chunk into a ring slot, blocking while all slots are in flight (the
-// backpressure bound). A context cancellation wakes a blocked producer,
-// pins the error, and drops the chunk.
-func (pw *PipeWriter) submit(chunk []float32) {
+// openSlot returns the slot the next values go into. Inline that is the
+// one slot; pipelined, a free ring slot is taken when none is open,
+// blocking while all are in flight (the backpressure bound). A context
+// cancellation wakes a blocked producer: openSlot then pins the error and
+// returns nil.
+func (pw *PipeWriter) openSlot() *pipeSlot {
+	switch {
+	case pw.open != nil:
+	case pw.work == nil:
+		pw.slots = borrowSlots(&writeSlots, 1)
+		pw.open = pw.slots[0]
+	default:
+		s := takeSlot(pw.free, pw.depth, nil, pw.ctxDone)
+		if s == nil {
+			pw.perr.set(pw.ctx.Err())
+			return nil
+		}
+		if pw.tr != nil {
+			s.t0 = time.Now()
+		}
+		pw.open = s
+	}
+	return pw.open
+}
+
+// submit is the first write stage; it takes the open slot, whose vals hold
+// a full chunk (or the tail, at Close). On chunk 0 of a fixed-ratio stream
+// it runs the full bound search, here on the producer goroutine, so
+// workers read the seed after the hand-off below. Inline, it then encodes
+// and emits the chunk and keeps the slot open; pipelined, it queues the
+// slot to both the emit FIFO and the work queue.
+func (pw *PipeWriter) submit() {
+	s := pw.open
 	if pw.opt.TargetRatio > 0 && pw.seq == 0 {
-		p, err := ResolvePlan(chunk, pw.opt)
+		p, err := ResolvePlan(s.vals, pw.opt)
 		if err != nil {
 			pw.perr.set(err)
+			s.drop()
 			return
 		}
 		pw.seed = p.Bound
 	}
-	if pw.work == nil {
-		s := &pw.slot
-		s.seq, s.vals = pw.seq, chunk
-		pw.seq++
-		pw.encode(s)
-		pw.emitFrame(s)
-		s.vals = nil
-		return
-	}
-	s := takeSlot(pw.free, pw.depth, nil, pw.ctxDone)
-	if s == nil {
-		pw.perr.set(pw.ctx.Err())
-		return
-	}
-	if pw.tr != nil {
-		s.t0 = time.Now()
-	}
 	s.seq = pw.seq
 	pw.seq++
-	s.vals = append(s.vals[:0], chunk...)
+	if pw.work == nil {
+		pw.encode(s)
+		pw.emitFrame(s)
+		s.drop()
+		return
+	}
+	pw.open = nil
 	s.err = nil
 	s.done = make(chan struct{})
+	if s.lent {
+		pw.lent.Add(1)
+	}
 	pw.emit <- s
 	pw.work <- s
 }
@@ -269,6 +336,9 @@ func (pw *PipeWriter) worker() {
 	defer pw.wg.Done()
 	for s := range pw.work {
 		pw.encode(s)
+		if s.lent {
+			pw.lent.Done()
+		}
 		close(s.done)
 	}
 }
@@ -285,7 +355,7 @@ func (pw *PipeWriter) emitter() {
 			<-s.done
 		}
 		pw.emitFrame(s)
-		s.vals = s.vals[:0]
+		s.drop()
 		pw.free <- s
 	}
 }
@@ -326,10 +396,14 @@ func (pw *PipeWriter) pinCtxErr() error {
 	return pw.perr.get()
 }
 
-// Write buffers values and submits full chunks; a chunk-sized run of the
-// input is submitted straight from the caller's slice. Errors from
-// in-flight chunks surface on a later Write or on Close (first error
-// wins).
+// Write chunks values and submits every full chunk; the tail waits in the
+// open slot for the next Write or Close. A full chunk with nothing
+// buffered before it is lent: encoded straight from the caller's slice,
+// with Write waiting for that encode. Pipelined, a Write keeps its last
+// full chunk out of that and copies it into a slot instead, so a caller
+// writing one chunk at a time gets its next chunk ready while this one
+// encodes. Errors from in-flight chunks surface on a later Write or on
+// Close (first error wins).
 func (pw *PipeWriter) Write(values []float32) error {
 	if err := pw.pinCtxErr(); err != nil {
 		return err
@@ -337,24 +411,34 @@ func (pw *PipeWriter) Write(values []float32) error {
 	if pw.closed {
 		return errors.New("szx: write after Close")
 	}
+	lendAt := pw.chunk
+	if pw.work != nil {
+		lendAt = 2 * pw.chunk
+	}
 	for len(values) > 0 {
-		if len(pw.buf) == 0 && len(values) >= pw.chunk {
-			pw.submit(values[:pw.chunk])
+		s := pw.openSlot()
+		if s == nil {
+			break
+		}
+		if len(s.buf) == 0 && len(values) >= lendAt {
+			s.vals, s.lent = values[:pw.chunk:pw.chunk], true
 			values = values[pw.chunk:]
 		} else {
-			need := min(pw.chunk-len(pw.buf), len(values))
-			pw.buf = append(pw.buf, values[:need]...)
+			need := min(pw.chunk-len(s.buf), len(values))
+			s.buf = append(s.buf, values[:need]...)
 			values = values[need:]
-			if len(pw.buf) == pw.chunk {
-				pw.submit(pw.buf)
-				pw.buf = pw.buf[:0]
+			if len(s.buf) < pw.chunk {
+				break
 			}
+			s.vals = s.buf
 		}
-		if err := pw.perr.get(); err != nil {
-			return err
+		pw.submit()
+		if pw.perr.get() != nil {
+			break
 		}
 	}
-	return nil
+	pw.lent.Wait()
+	return pw.perr.get()
 }
 
 // shutdown stops the pipelined schedule — no more submissions; workers and
@@ -370,6 +454,13 @@ func (pw *PipeWriter) shutdown() {
 	<-pw.emitDone
 }
 
+// release gives the slots back to the pool; every goroutine that could
+// touch them has been joined.
+func (pw *PipeWriter) release() {
+	returnSlots(&writeSlots, pw.slots)
+	pw.slots, pw.open = nil, nil
+}
+
 // Close flushes the buffered tail chunk, drains the pipeline, writes the
 // terminator, and joins every goroutine. It returns the first error the
 // pipeline hit, if any; a second Close is a no-op returning that same
@@ -379,18 +470,19 @@ func (pw *PipeWriter) Close() error {
 		return pw.perr.get()
 	}
 	pw.closed = true
-	if len(pw.buf) > 0 && pw.pinCtxErr() == nil {
-		pw.submit(pw.buf)
-		pw.buf = pw.buf[:0]
+	if s := pw.open; s != nil && len(s.buf) > 0 && pw.pinCtxErr() == nil {
+		s.vals = s.buf
+		pw.submit()
 	}
 	pw.shutdown()
+	pw.release()
 	if err := pw.pinCtxErr(); err != nil {
 		return err
 	}
 	// The terminator and, for an empty stream, the container header before
 	// it, in one Write.
-	pw.slot.frame = streamFrames.appendEnd(pw.slot.frame[:0], pw.seq == 0)
-	if _, err := pw.w.Write(pw.slot.frame); err != nil {
+	var end [9]byte
+	if _, err := pw.w.Write(streamFrames.appendEnd(end[:0], pw.seq == 0)); err != nil {
 		pw.perr.set(err)
 		return err
 	}
@@ -408,6 +500,7 @@ func (pw *PipeWriter) Abort() {
 	pw.closed = true
 	pw.perr.set(errStreamAborted)
 	pw.shutdown()
+	pw.release()
 }
 
 // PipeReader decompresses an SZXS container and delivers its values
@@ -415,34 +508,80 @@ func (pw *PipeWriter) Abort() {
 // reads frames ahead while a pool of workers decompresses them
 // concurrently, with at most parallelism+2 compressed frames (and their
 // decoded chunks) in flight; built by NewReader (as a Reader), each frame
-// is read and decoded inline when Read needs it.
+// is read and decoded inline when Read needs it. On both, a frame whose
+// values wholly fit in the room Read is filling decodes straight into it.
 //
-// A PipeReader is not safe for concurrent use. Close releases the
-// background goroutines; it must be called when abandoning a pipelined
-// stream mid-read (after a clean EOF or a terminal error the goroutines
-// have already exited, but Close remains safe and idempotent). An inline
-// reader has no goroutines, so its Close is optional.
+// A PipeReader is not safe for concurrent use. Close joins the background
+// goroutines; it must be called when abandoning a pipelined stream
+// mid-read. After a clean EOF or a terminal error the goroutines stop by
+// themselves, but only Close waits for them (and gives their ring back to
+// the package pool), so call it anyway; it is safe and idempotent. An
+// inline reader has no goroutines, so its Close is optional.
 type PipeReader struct {
-	frames frameReader // touched only by the prefetch stage
+	frames  frameReader // touched only by the prefetch stage
+	fetched int64       // stream position of the next frame's first value; prefetch stage only
 
 	ctx     context.Context
 	ctxDone <-chan struct{} // nil without a context; a nil channel never fires
 	tr      *trace.Trace    // request trace from ctx; nil = untraced
 
-	// The pipelined schedule's ring; nil on the inline schedule, which
-	// runs every stage through slot.
-	depth int
-	free  chan *pipeSlot
-	work  chan *pipeSlot
-	emit  chan *pipeSlot
-	stop  chan struct{}
-	wg    sync.WaitGroup // prefetcher + decode workers
-	slot  pipeSlot
+	// The slots, borrowed from readSlots: the pipelined schedule's ring,
+	// or the inline schedule's one slot, borrowed on first use.
+	slots   []*pipeSlot
+	depth   int
+	free    chan *pipeSlot // nil on the inline schedule, as are work, emit and stop
+	work    chan *pipeSlot
+	emit    chan *pipeSlot
+	stop    chan struct{} // closed by Close, or once a terminal error is pinned
+	stopped bool
+	wg      sync.WaitGroup // prefetcher + decode workers
+
+	win       readWindow
+	delivered int64 // values Read has returned so far
 
 	cur    *pipeSlot // slot currently being drained
 	pos    int
 	err    error // first terminal error, io.EOF included
 	closed bool
+}
+
+// readWindow is the room of the Read in progress. Read opens it over p;
+// the prefetch stage aims every frame whose values wholly fit there at
+// their place in p, and Read closes it and waits for the decodes aimed at
+// it before returning, so nothing writes p after the Read.
+type readWindow struct {
+	mu    sync.Mutex
+	p     []float32      // nil while no Read is in progress
+	lo    int64          // stream position of p[0]
+	aimed sync.WaitGroup // decodes into p not yet finished
+}
+
+func (w *readWindow) open(p []float32, lo int64) {
+	w.mu.Lock()
+	w.p, w.lo = p, lo
+	w.mu.Unlock()
+}
+
+// shut closes the window and waits for the decodes already aimed at it —
+// compute only, never a source read.
+func (w *readWindow) shut() {
+	w.mu.Lock()
+	w.p = nil
+	w.mu.Unlock()
+	w.aimed.Wait()
+}
+
+// aim reports the room in the window for values [at, at+n) of the stream,
+// registering a decode into it; ok is false when they do not wholly fit.
+func (w *readWindow) aim(at int64, n int) (room []float32, ok bool) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	lo := at - w.lo
+	if n == 0 || w.p == nil || lo < 0 || lo+int64(n) > int64(len(w.p)) {
+		return nil, false
+	}
+	w.aimed.Add(1)
+	return w.p[lo : lo : lo+int64(n)], true
 }
 
 // NewPipeReader returns a pipelined streaming decompressor reading from r.
@@ -466,12 +605,13 @@ func NewPipeReaderContext(ctx context.Context, r io.Reader, parallelism int) *Pi
 	}
 	pr.depth = pipelineDepth(parallelism)
 	pr.ctx, pr.ctxDone, pr.tr = ctx, ctx.Done(), trace.FromContext(ctx)
+	pr.slots = borrowSlots(&readSlots, pr.depth)
 	pr.free = make(chan *pipeSlot, pr.depth)
 	pr.work = make(chan *pipeSlot, pr.depth)
 	pr.emit = make(chan *pipeSlot, pr.depth)
 	pr.stop = make(chan struct{})
-	for i := 0; i < pr.depth; i++ {
-		pr.free <- &pipeSlot{}
+	for _, s := range pr.slots {
+		pr.free <- s
 	}
 	pr.wg.Add(1 + parallelism)
 	go pr.prefetcher()
@@ -485,29 +625,58 @@ func NewPipeReaderContext(ctx context.Context, r io.Reader, parallelism int) *Pi
 	return pr
 }
 
-// prefetch is the first read stage: it reads the next frame into s. It
-// returns false at the terminator; a malformed container or frame leaves
-// its error in s.err.
+// prefetch is the first read stage: it reads the next frame into s and
+// aims its decode, straight into the Read window when the value count in
+// the frame's SZx header wholly fits there, else into the slot's own
+// buffer. It returns false at the terminator; a malformed container or
+// frame leaves its error in s.err. A frame whose header does not parse
+// decodes into the slot, where decode reports it; nothing after it is
+// delivered, so the positions of later frames no longer matter.
 func (pr *PipeReader) prefetch(s *pipeSlot) bool {
 	s.frame, s.idx, s.off, s.err = pr.frames.next(s.frame)
-	return s.err != io.EOF
+	if s.err != nil {
+		return s.err != io.EOF
+	}
+	s.vals = s.buf[:0]
+	if h, err := core.ParseHeader(s.frame); err == nil && h.Type == core.TypeFloat32 {
+		if room, ok := pr.win.aim(pr.fetched, h.N); ok {
+			s.vals, s.lent = room, true
+		}
+		pr.fetched += int64(h.N)
+	}
+	return true
 }
 
-// decode is the second read stage: it decompresses s's frame into s.vals.
+// decode is the second read stage: it decompresses s's frame into s.vals,
+// the window's room or the slot's own buffer, and then releases the
+// window's wait on it.
 func (pr *PipeReader) decode(s *pipeSlot) {
+	if s.lent {
+		defer pr.win.aimed.Done()
+	}
 	if s.err != nil {
 		return
 	}
-	vals, err := DecompressInto(s.vals[:0], s.frame)
-	if err != nil {
+	vals, err := DecompressInto(s.vals, s.frame)
+	switch {
+	case err != nil:
 		s.err = streamFrames.frameErr(s.idx, s.off, err)
-		return
+	case !s.lent:
+		s.buf = vals
 	}
 	s.vals = vals
 }
 
-// send delivers a slot to ch unless the reader is being closed or its
-// context is cancelled.
+// unaim withdraws s from the Read window when no decode will run for it.
+func (pr *PipeReader) unaim(s *pipeSlot) {
+	if s.lent {
+		pr.win.aimed.Done()
+	}
+	s.vals, s.lent = nil, false
+}
+
+// send delivers a slot to ch unless the reader is stopping or its context
+// is cancelled.
 func (pr *PipeReader) send(ch chan *pipeSlot, s *pipeSlot) bool {
 	select {
 	case ch <- s:
@@ -541,11 +710,14 @@ func (pr *PipeReader) prefetcher() {
 			return
 		}
 		if !pr.send(pr.emit, s) {
+			pr.unaim(s)
 			return
 		}
 		if !pr.send(pr.work, s) {
-			// Closing: no worker will ever decode this slot; close its done
-			// signal so the Close-side drain does not wait forever.
+			// Stopping: no worker will ever decode this slot. It reaches the
+			// consumer, if at all, as an empty frame (the stop's cause comes
+			// next), and its done signal is closed so nothing waits forever.
+			pr.unaim(s)
 			close(s.done)
 			return
 		}
@@ -590,17 +762,19 @@ func (pr *PipeReader) receive() (*pipeSlot, error) {
 // next decoded frame current — prefetched and decoded now on the inline
 // schedule, taken from the ring when pipelined. The first terminal error,
 // io.EOF at the terminator included, is pinned and returned from every
-// later call, so no schedule reads past a failure.
+// later call, so no schedule reads past a failure; pinning it also stops
+// the pipeline's goroutines and, inline, gives the slot back.
 func (pr *PipeReader) next() error {
 	if pr.err != nil {
 		return pr.err
 	}
-	if pr.cur != nil {
+	if s := pr.cur; s != nil {
 		if pr.tr != nil {
-			pr.tr.RecordSpan("pipe_frame", pr.cur.t0, time.Now())
+			pr.tr.RecordSpan("pipe_frame", s.t0, time.Now())
 		}
+		s.drop()
 		if pr.free != nil {
-			pr.free <- pr.cur
+			pr.free <- s
 		}
 		pr.cur = nil
 	}
@@ -608,7 +782,10 @@ func (pr *PipeReader) next() error {
 	var err error
 	switch {
 	case pr.work == nil:
-		s = &pr.slot
+		if pr.slots == nil {
+			pr.slots = borrowSlots(&readSlots, 1)
+		}
+		s = pr.slots[0]
 		if !pr.prefetch(s) {
 			err = io.EOF
 		} else {
@@ -621,14 +798,17 @@ func (pr *PipeReader) next() error {
 	default:
 		s, err = pr.receive()
 	}
+	if err == nil && s.err != nil {
+		telemetry.StreamFrameErrors.Inc()
+		err = s.err
+	}
 	if err != nil {
 		pr.err = err
+		pr.halt()
+		if pr.work == nil {
+			pr.release()
+		}
 		return err
-	}
-	if s.err != nil {
-		telemetry.StreamFrameErrors.Inc()
-		pr.err = s.err
-		return pr.err
 	}
 	pr.cur, pr.pos = s, 0
 	if telemetry.Enabled() {
@@ -638,22 +818,40 @@ func (pr *PipeReader) next() error {
 }
 
 // Read fills p with decompressed values, returning the count. It returns
-// io.EOF after the final chunk is exhausted.
+// io.EOF after the final chunk is exhausted. While it runs, p is the Read
+// window: frames that wholly fit in it decode straight into place.
 func (pr *PipeReader) Read(p []float32) (int, error) {
 	if pr.err != nil {
 		return 0, pr.err
 	}
+	if len(p) == 0 {
+		return 0, nil
+	}
+	pr.win.open(p, pr.delivered)
+	total, err := pr.fill(p)
+	pr.win.shut()
+	pr.delivered += int64(total)
+	if total > 0 && err == io.EOF {
+		err = nil // deliver what we have; EOF on the next call
+	}
+	return total, err
+}
+
+// fill delivers frames into p in order until it is full or the stream
+// ends: a frame decoded into the window is already in place, any other is
+// copied out of its slot.
+func (pr *PipeReader) fill(p []float32) (int, error) {
 	total := 0
 	for total < len(p) {
 		if pr.cur == nil || pr.pos == len(pr.cur.vals) {
 			if err := pr.next(); err != nil {
-				if total > 0 && err == io.EOF {
-					return total, nil // deliver what we have; EOF on the next call
-				}
 				return total, err
 			}
 		}
-		n := copy(p[total:], pr.cur.vals[pr.pos:])
+		n := len(pr.cur.vals) - pr.pos
+		if !pr.cur.lent {
+			n = copy(p[total:], pr.cur.vals[pr.pos:])
+		}
 		pr.pos += n
 		total += n
 	}
@@ -680,6 +878,22 @@ func (pr *PipeReader) ReadAll() ([]float32, error) {
 	}
 }
 
+// halt signals the pipelined schedule's goroutines to stop: the
+// prefetcher exits at its next hand-off and the workers once the queue it
+// fed is drained.
+func (pr *PipeReader) halt() {
+	if pr.stop != nil && !pr.stopped {
+		pr.stopped = true
+		close(pr.stop)
+	}
+}
+
+// release gives the slots back to the pool; nothing can touch them again.
+func (pr *PipeReader) release() {
+	returnSlots(&readSlots, pr.slots)
+	pr.slots, pr.cur = nil, nil
+}
+
 // Close abandons the stream and joins the background goroutines. It is
 // idempotent and safe after EOF or an error. If the underlying reader is
 // blocked in Read, Close blocks until that call returns (hand PipeReader a
@@ -689,17 +903,9 @@ func (pr *PipeReader) Close() error {
 		return nil
 	}
 	pr.closed = true
-	if pr.stop != nil {
-		close(pr.stop)
-		// Drain the in-order queue so the prefetcher and workers are never
-		// stuck handing off a slot, then join everything.
-		go func() {
-			for s := range pr.emit {
-				<-s.done
-			}
-		}()
-		pr.wg.Wait()
-	}
+	pr.halt()
+	pr.wg.Wait()
+	pr.release()
 	if pr.err == nil {
 		pr.err = errors.New("szx: read after Close")
 	}

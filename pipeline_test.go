@@ -98,9 +98,9 @@ func sumOf(b []byte) []byte {
 	return s[:]
 }
 
-// TestPipeReaderRoundTrip drives the pipelined reader over inline Writer
-// output at several parallelisms and read granularities, checking values
-// against the inline Reader bit for bit.
+// TestPipeReaderRoundTrip drives the pipelined reader's ReadAll over inline
+// Writer output at several parallelisms, checking values against the
+// inline Reader bit for bit (TestPipeReadWindow covers Read).
 func TestPipeReaderRoundTrip(t *testing.T) {
 	data := testField(250000, 29)
 	blob := serialStreamBytes(t, data, Options{ErrorBound: 1e-3}, 10007)
@@ -126,25 +126,6 @@ func TestPipeReaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	// Small-buffer Read path.
-	pr := NewPipeReader(bytes.NewReader(blob), 2)
-	var out []float32
-	p := make([]float32, 777)
-	for {
-		n, rerr := pr.Read(p)
-		out = append(out, p[:n]...)
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			t.Fatal(rerr)
-		}
-	}
-	if len(out) != len(want) {
-		t.Fatalf("chunked read: got %d values want %d", len(out), len(want))
-	}
-	_ = pr.Close()
 }
 
 // TestPipeRoundTripEmpty checks the empty-stream container both ways.
@@ -419,6 +400,23 @@ func TestPipeGoroutineLeaks(t *testing.T) {
 		waitGoroutines(t, baseline)
 		if _, err := pr.Read(p); err == nil {
 			t.Fatal("read after close accepted")
+		}
+	})
+
+	t.Run("reader decode error, no Close", func(t *testing.T) {
+		baseline := runtime.NumGoroutine()
+		offs := streamFrameOffsets(t, blob)
+		bad := append([]byte(nil), blob...)
+		copy(bad[offs[1]+4:], "junk") // frame 1 reads whole but fails to decode
+		pr := NewPipeReader(bytes.NewReader(bad), 2)
+		var fe *FrameError
+		if _, err := pr.ReadAll(); !errors.As(err, &fe) || fe.Frame != 1 {
+			t.Fatalf("corrupt frame 1: %v", err)
+		}
+		// A terminal error stops the prefetcher and workers with no Close.
+		waitGoroutines(t, baseline)
+		if err := pr.Close(); err != nil {
+			t.Fatal(err)
 		}
 	})
 
@@ -716,4 +714,248 @@ func TestArchivePipelined(t *testing.T) {
 			t.Fatalf("field %s: %d values want %d", name, len(vals), len(data))
 		}
 	}
+}
+
+// readerUnder opens the reader under test: the inline schedule at
+// parallelism 0, the pipelined one otherwise.
+func readerUnder(blob []byte, par int) *PipeReader {
+	if par == 0 {
+		return NewReader(bytes.NewReader(blob))
+	}
+	return NewPipeReader(bytes.NewReader(blob), par)
+}
+
+// readThrough drains pr with Reads into a buffer of size values, after a
+// first Read of first values when first > 0, and checks that io.EOF comes
+// alone, on the call after the last value.
+func readThrough(t *testing.T, pr *PipeReader, size, first int) []float32 {
+	t.Helper()
+	var out []float32
+	p := make([]float32, size)
+	if first > 0 {
+		n, err := pr.Read(p[:first])
+		if n != first || err != nil {
+			t.Fatalf("short first Read: %d values, %v", n, err)
+		}
+		out = append(out, p[:n]...)
+	}
+	for {
+		n, err := pr.Read(p)
+		out = append(out, p[:n]...)
+		if err == io.EOF {
+			if n != 0 {
+				t.Fatalf("io.EOF came with %d values", n)
+			}
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			t.Fatal("Read returned no values and no error")
+		}
+	}
+	if n, err := pr.Read(p); n != 0 || err != io.EOF {
+		t.Fatalf("Read after io.EOF: %d values, %v", n, err)
+	}
+	return out
+}
+
+// TestPipeReadWindow drains containers through Read buffers that do and
+// do not fit whole frames, on every schedule, with and without a short
+// Read first (so a window opens mid-frame): the values must be
+// bit-identical to the inline ReadAll's.
+func TestPipeReadWindow(t *testing.T) {
+	data := testField(200000, 43)
+	for _, chunk := range []int{10007, 1 << 14, 1 << 16} {
+		blob := serialStreamBytes(t, data, Options{ErrorBound: 1e-3}, chunk)
+		want, err := NewReader(bytes.NewReader(blob)).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := len(want)
+		frames := len(streamFrameOffsets(t, blob))
+		for _, par := range []int{0, 1, 2, 4} {
+			for _, size := range []int{n + 1, n, chunk, chunk - 1, chunk + 1, 2*chunk - 1, 3 * chunk, 777} {
+				for _, first := range []int{0, 100} {
+					pr := readerUnder(blob, par)
+					got := readThrough(t, pr, size, first)
+					if len(got) != n {
+						t.Fatalf("chunk=%d par=%d size=%d first=%d: %d values, want %d",
+							chunk, par, size, first, len(got), n)
+					}
+					for i := range want {
+						if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+							t.Fatalf("chunk=%d par=%d size=%d first=%d: value %d differs",
+								chunk, par, size, first, i)
+						}
+					}
+					if err := pr.Close(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			// The window must take the frames read after it opened: with
+			// more frames than a ring holds, a Read of the whole stream
+			// decodes its last frame in place on every schedule.
+			if frames > pipelineDepth(par) {
+				pr := readerUnder(blob, par)
+				if m, err := pr.Read(make([]float32, n)); m != n || err != nil {
+					t.Fatalf("par=%d: Read of the whole stream: %d values, %v", par, m, err)
+				}
+				if !pr.cur.lent {
+					t.Errorf("chunk=%d par=%d: last frame was copied, not decoded into the window", chunk, par)
+				}
+				_ = pr.Close()
+			}
+		}
+	}
+}
+
+// sourceFunc adapts a function to io.Reader.
+type sourceFunc func(p []byte) (int, error)
+
+func (f sourceFunc) Read(p []byte) (int, error) { return f(p) }
+
+// breakLastBlock makes a frame's SZx payload fail in decode after all but
+// its last block have decoded: the last block's size entry points past
+// the payload.
+func breakLastBlock(t *testing.T, frame []byte) {
+	t.Helper()
+	h, err := Info(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerSize = 28
+	nb := h.NumBlocks()
+	at := headerSize + (nb+7)/8 + 2*(nb-1)
+	frame[at], frame[at+1] = 0xff, 0xff
+}
+
+// TestPipeCallerMemory pins the ownership rule: no goroutine writes a
+// Read's p after the Read returns, even when it fails inside its window,
+// and none reads a Write's values after the Write returns, even through a
+// slot that held them and went back to the pool.
+func TestPipeCallerMemory(t *testing.T) {
+	const chunk = 1 << 14
+	data := testField(8*chunk, 47)
+	blob := serialStreamBytes(t, data, Options{ErrorBound: 1e-3}, chunk)
+	offs := streamFrameOffsets(t, blob)
+	if len(offs) != 8 {
+		t.Fatalf("got %d frames; want 8", len(offs))
+	}
+
+	// readFails runs one Read over the whole stream, which must fail, and
+	// checks that p beyond what it returned holds still once it has.
+	readFails := func(t *testing.T, pr *PipeReader) (int, error) {
+		t.Helper()
+		p := make([]float32, len(data)+1)
+		n, err := pr.Read(p)
+		if err == nil {
+			t.Fatalf("Read succeeded with %d values", n)
+		}
+		snap := append([]float32(nil), p[n:]...)
+		if cerr := pr.Close(); cerr != nil {
+			t.Fatal(cerr)
+		}
+		for i := range snap {
+			if math.Float32bits(snap[i]) != math.Float32bits(p[n+i]) {
+				t.Fatalf("p[%d] changed after Read returned", n+i)
+			}
+		}
+		return n, err
+	}
+
+	t.Run("read window, corrupt frame 3 of 8", func(t *testing.T) {
+		bad := append([]byte(nil), blob...)
+		breakLastBlock(t, bad[offs[3]+4:offs[4]])
+		for _, par := range []int{0, 1, 2, 4} {
+			n, err := readFails(t, readerUnder(bad, par))
+			var fe *FrameError
+			if !errors.As(err, &fe) || fe.Frame != 3 || n != 3*chunk {
+				t.Fatalf("par=%d: %d values, %v; want 3 frames and frame 3's error", par, n, err)
+			}
+		}
+	})
+
+	t.Run("read window, context cancelled after frame 0", func(t *testing.T) {
+		for _, par := range []int{1, 2, 4} {
+			ctx, cancel := context.WithCancel(context.Background())
+			src := bytes.NewReader(blob)
+			pr := NewPipeReaderContext(ctx, sourceFunc(func(p []byte) (int, error) {
+				if int64(len(blob)-src.Len()) >= offs[1] {
+					cancel()
+				}
+				return src.Read(p)
+			}), par)
+			if _, err := readFails(t, pr); !errors.Is(err, context.Canceled) {
+				t.Fatalf("par=%d: %v, want context.Canceled", par, err)
+			}
+			cancel()
+		}
+	})
+
+	// The scribbled slice of each writer case stays NaN through every
+	// pooled stream that follows.
+	var scribbled [][]float32
+	t.Run("write then scribble", func(t *testing.T) {
+		for _, par := range []int{0, 1, 2, 4} {
+			// One full chunk fewer than the ring holds, plus a tail: the
+			// Write takes every slot without waiting for one to come back,
+			// so only its wait for the lent encodes orders them before the
+			// scribble.
+			full := pipelineDepth(max(par, 1)) - 1
+			orig := append(data[:full*chunk:full*chunk], data[:777]...)
+			want := serialStreamBytes(t, orig, Options{ErrorBound: 1e-3}, chunk)
+			in := append([]float32(nil), orig...)
+			var buf bytes.Buffer
+			var pw *PipeWriter
+			if par == 0 {
+				pw = NewWriter(&buf, Options{ErrorBound: 1e-3}, chunk)
+			} else {
+				pw = NewPipeWriter(&buf, Options{ErrorBound: 1e-3}, chunk, par)
+			}
+			if err := pw.Write(in); err != nil {
+				t.Fatal(err)
+			}
+			for i := range in {
+				in[i] = float32(math.NaN())
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Fatalf("par=%d: container differs from the inline Writer's on the original values", par)
+			}
+			scribbled = append(scribbled, in)
+		}
+	})
+
+	t.Run("pooled slots leave the scribbled slices alone", func(t *testing.T) {
+		if len(scribbled) == 0 {
+			t.Skip("no scribbled slices")
+		}
+		for _, par := range []int{0, 1, 2, 4} {
+			pr := readerUnder(blob, par)
+			readThrough(t, pr, 5000, 0)
+			_ = pr.Close()
+			var buf bytes.Buffer
+			pw := NewPipeWriter(&buf, Options{ErrorBound: 1e-3}, chunk, max(par, 1))
+			for lo := 0; lo < len(data); lo += 3 * chunk {
+				if err := pw.Write(data[lo:min(lo+3*chunk, len(data))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := pw.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for k, in := range scribbled {
+			for i, v := range in {
+				if !math.IsNaN(float64(v)) {
+					t.Fatalf("writer case %d: scribbled value %d became %v", k, i, v)
+				}
+			}
+		}
+	})
 }

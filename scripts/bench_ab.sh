@@ -23,10 +23,13 @@
 #
 # Code placement moves these metrics on its own (a hot loop's 64-byte phase
 # has moved compress by 12%), so once both sides have built, the summary
-# also lists every text symbol of internal/kernels and internal/core, plus
-# datagen.genField, with its address and 64-byte phase on each side
-# (go tool nm of each side's .bench_build/perfbench), flags the symbols
-# whose phase moved, and appends the table to collected.jsonl.
+# also lists every text symbol of internal/kernels and internal/core, the
+# root package's stream code (the PipeWriter and PipeReader methods,
+# frameReader.next, and the CompressInto/DecompressInto instantiations
+# the linker kept), plus datagen.genField, with its address and 64-byte
+# phase on each side (go tool nm of each side's .bench_build/perfbench),
+# flags the symbols whose phase moved, and appends the table to
+# collected.jsonl.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -86,8 +89,11 @@ def placement():
         for line in proc.stdout.splitlines():
             f = line.split(None, 3)
             if len(f) == 4 and f[2] in ("T", "t") and (
-                    f[3].startswith(("repro/internal/kernels.", "repro/internal/core."))
-                    or f[3] == "repro/internal/datagen.genField"):
+                    f[3].startswith(("repro/internal/kernels.", "repro/internal/core.",
+                                     "repro.(*PipeWriter).", "repro.(*PipeReader).",
+                                     "repro.CompressInto[", "repro.compressInto[",
+                                     "repro.DecompressInto["))
+                    or f[3] in ("repro/internal/datagen.genField", "repro.(*frameReader).next")):
                 table.setdefault(f[3], {})[side] = int(f[0], 16)
     rows = [{"symbol": name, "parent": sides.get("parent"), "change": sides.get("change"),
              "moved": len(sides) == 2 and sides["parent"] % 64 != sides["change"] % 64}
@@ -114,7 +120,8 @@ for h in sorted(hosts):
 print("\nplacement (address/phase, phase = address mod 64; - = absent)")
 for row in layout:
     cells = ["%x/%d" % (row[s], row[s] % 64) if row[s] is not None else "-" for s in ("parent", "change")]
-    print(("  %-72s %12s %12s  %s" % (row["symbol"][len("repro/internal/"):], cells[0], cells[1],
+    short = row["symbol"].removeprefix("repro/internal/").removeprefix("repro.")
+    print(("  %-72s %12s %12s  %s" % (short, cells[0], cells[1],
                                        "MOVED" if row["moved"] else "")).rstrip())
 for workload in workloads:
     print("\n%s" % workload)
