@@ -202,8 +202,10 @@ func OpenArchive(data []byte) (*Archive, error) {
 	if len(data) < 9 || string(data[:4]) != archiveMagic || data[4] != archiveVersion {
 		return nil, ErrArchive
 	}
+	// A TOC entry takes at least 19 bytes (an empty name, one dim), so a
+	// count the data cannot hold is rejected before the TOC is sized by it.
 	n := int(binary.LittleEndian.Uint32(data[5:9]))
-	if n < 0 || n > 1<<20 {
+	if n < 0 || n > 1<<20 || n > (len(data)-9)/19 {
 		return nil, ErrArchive
 	}
 	pos := 9

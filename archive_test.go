@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"runtime"
 	"testing"
 )
 
@@ -174,6 +175,23 @@ func TestArchiveCorrupt(t *testing.T) {
 		c := append([]byte(nil), blob...)
 		c[i] ^= 0x80
 		_, _ = OpenArchive(c) // must not panic
+	}
+}
+
+// TestArchiveForgedFieldCount: a header whose field count the data cannot
+// hold is rejected before the table of contents is sized by it.
+func TestArchiveForgedFieldCount(t *testing.T) {
+	for _, blob := range []string{"SZXA\x01\x00\x00\x10\x00", "SZXA\x01\xff\xff\x0f\x00"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := OpenArchive([]byte(blob))
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrArchive) {
+			t.Errorf("header %q: err = %v, want ErrArchive", blob, err)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Errorf("header %q: OpenArchive allocated %d bytes", blob, grew)
+		}
 	}
 }
 

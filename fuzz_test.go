@@ -18,6 +18,7 @@ func FuzzOpenArchive(f *testing.F) {
 	_ = aw.AddField("x", []int{64}, testField(64, 1))
 	f.Add(aw.Bytes())
 	f.Add([]byte("SZXA\x01\x00\x00\x00\x01"))
+	f.Add([]byte("SZXA\x01\x00\x00\x10\x00"))
 	for _, forged := range forgedArchives(f) {
 		f.Add(forged)
 	}

@@ -307,7 +307,7 @@ func (pw *PipeWriter) encode(s *pipeSlot) {
 		}
 		opt = pw.opt.withBound(b)
 	}
-	frame, at := streamFrames.beginFrame(s.frame[:0], s.seq == 0)
+	frame, at := beginFrame(s.frame[:0], s.seq == 0)
 	s.frame, s.err = CompressInto(frame, s.vals, opt)
 	if s.err == nil {
 		endFrame(s.frame, at)
@@ -482,7 +482,7 @@ func (pw *PipeWriter) Close() error {
 	// The terminator and, for an empty stream, the container header before
 	// it, in one Write.
 	var end [9]byte
-	if _, err := pw.w.Write(streamFrames.appendEnd(end[:0], pw.seq == 0)); err != nil {
+	if _, err := pw.w.Write(appendEnd(end[:0], pw.seq == 0)); err != nil {
 		pw.perr.set(err)
 		return err
 	}
@@ -660,7 +660,7 @@ func (pr *PipeReader) decode(s *pipeSlot) {
 	vals, err := DecompressInto(s.vals, s.frame)
 	switch {
 	case err != nil:
-		s.err = streamFrames.frameErr(s.idx, s.off, err)
+		s.err = &FrameError{Frame: s.idx, Offset: s.off, Err: err}
 	case !s.lent:
 		s.buf = vals
 	}

@@ -524,29 +524,6 @@ func TestPipeGoroutineLeaks(t *testing.T) {
 		}
 		waitGoroutines(t, baseline)
 	})
-
-	t.Run("timestream close paths", func(t *testing.T) {
-		baseline := runtime.NumGoroutine()
-		var buf bytes.Buffer
-		tw, err := NewTimeStreamWriter(&buf, Options{ErrorBound: 1e-3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 4; i++ {
-			if err := tw.WriteFrame(data[:20000]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		tr := NewTimeStreamReader(bytes.NewReader(buf.Bytes()))
-		if _, err := tr.ReadFrame(); err != nil {
-			t.Fatal(err)
-		}
-		_ = tr.Close() // mid-stream abandon
-		waitGoroutines(t, baseline)
-	})
 }
 
 // TestPipeCrossSerial round-trips pipelined writer output through the
@@ -581,93 +558,6 @@ func TestPipeCrossSerial(t *testing.T) {
 		if math.Abs(float64(data[i])-float64(serialOut[i])) > 1e-3 {
 			t.Fatalf("value %d exceeds bound", i)
 		}
-	}
-}
-
-// TestTimeStreamRoundTrip checks the pipelined temporal container end to
-// end: bound respected on every frame, EOF after the last, truncation
-// reported.
-func TestTimeStreamRoundTrip(t *testing.T) {
-	const frames, n = 12, 30000
-	base := testField(n, 41)
-	var buf bytes.Buffer
-	tw, err := NewTimeStreamWriter(&buf, Options{ErrorBound: 1e-3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frame := make([]float32, n)
-	for f := 0; f < frames; f++ {
-		for i := range frame {
-			frame[i] = base[i] + float32(f)*0.01*float32(math.Sin(float64(i)/500))
-		}
-		if err := tw.WriteFrame(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tw.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	tr := NewTimeStreamReader(bytes.NewReader(buf.Bytes()))
-	for f := 0; f < frames; f++ {
-		got, err := tr.ReadFrame()
-		if err != nil {
-			t.Fatalf("frame %d: %v", f, err)
-		}
-		for i := range got {
-			want := float64(base[i]) + float64(f)*0.01*math.Sin(float64(i)/500)
-			// The writer round-trips through float32, so compare against the
-			// float32 frame the writer actually saw.
-			w32 := base[i] + float32(f)*0.01*float32(math.Sin(float64(i)/500))
-			_ = want
-			if math.Abs(float64(w32)-float64(got[i])) > 1e-3 {
-				t.Fatalf("frame %d value %d exceeds bound", f, i)
-			}
-		}
-	}
-	if _, err := tr.ReadFrame(); err != io.EOF {
-		t.Fatalf("after last frame: %v", err)
-	}
-	_ = tr.Close()
-
-	// Truncation errors cleanly.
-	trunc := NewTimeStreamReader(bytes.NewReader(buf.Bytes()[:buf.Len()/2]))
-	var terr error
-	for terr == nil {
-		_, terr = trunc.ReadFrame()
-	}
-	if terr == io.EOF || !errors.Is(terr, ErrTimeStream) {
-		t.Fatalf("truncated temporal stream: %v", terr)
-	}
-	_ = trunc.Close()
-}
-
-// TestTimeStreamGoldenHash pins the SZXT container bytes with a literal
-// hash, the temporal counterpart of TestPipeStreamGoldenHash: a keyframe,
-// delta frames, and the empty container's header-plus-terminator.
-func TestTimeStreamGoldenHash(t *testing.T) {
-	const golden = "748b413f9a8f78a624017f81abed9a25e29287cda08025d4b95162e6a18940f8"
-	write := func(frames [][]float32) []byte {
-		var buf bytes.Buffer
-		tw, err := NewTimeStreamWriter(&buf, Options{ErrorBound: 1e-4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range frames {
-			if err := tw.WriteFrame(f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	if got := hex.EncodeToString(sumOf(write(evolveFrames(20000, 6, 7)))); got != golden {
-		t.Fatalf("temporal stream hash drifted: %s", got)
-	}
-	if got, want := write(nil), []byte("SZXT\x01\x00\x00\x00\x00"); !bytes.Equal(got, want) {
-		t.Fatalf("empty temporal container = %q, want %q", got, want)
 	}
 }
 

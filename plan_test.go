@@ -291,7 +291,7 @@ func TestRelativeLeadingNaN(t *testing.T) {
 	}
 	// Each frame's bound is 0.01 of its chunk's non-NaN range, and the
 	// decoded chunk stays within it.
-	fr := frameReader{codec: &streamFrames, r: bytes.NewReader(stream)}
+	fr := frameReader{r: bytes.NewReader(stream)}
 	for lo := 0; lo < len(data); lo += chunk {
 		frame, idx, _, err := fr.next(nil)
 		if err != nil {

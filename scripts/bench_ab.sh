@@ -28,8 +28,16 @@
 # frameReader.next, and the CompressInto/DecompressInto instantiations
 # the linker kept), plus datagen.genField, with its address and 64-byte
 # phase on each side (go tool nm of each side's .bench_build/perfbench),
-# flags the symbols whose phase moved, and appends the table to
-# collected.jsonl.
+# and flags the symbols whose phase moved. Data placement moves with edits
+# far from any code (a new package-level variable, or the binary's VCS
+# stamp), so a second table does the same for every data and bss symbol of
+# internal/core, internal/kernels, telemetry and the root package, and the
+# summary prints each binary's module and vcs.* build lines (go version
+# -m). Both tables and the build lines are appended to collected.jsonl.
+# The parent's worktree keeps its .git as a file, which Go's VCS stamping
+# does not take for a repository root, so both binaries carry the stamp of
+# the checkout this script runs in: the lines match on both sides and name
+# that checkout, not the ref.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -79,50 +87,81 @@ def run(side, workload, pair):
     results.setdefault((workload, side), []).append(res)
 
 
+TEXT_PREFIXES = ("repro/internal/kernels.", "repro/internal/core.",
+                 "repro.(*PipeWriter).", "repro.(*PipeReader).",
+                 "repro.CompressInto[", "repro.compressInto[", "repro.DecompressInto[")
+TEXT_NAMES = ("repro/internal/datagen.genField", "repro.(*frameReader).next")
+DATA_PREFIXES = ("repro/internal/core.", "repro/internal/kernels.", "repro/telemetry.", "repro.")
+
+
+def rows_of(table):
+    return [{"symbol": name, "parent": sides.get("parent"), "change": sides.get("change"),
+             "moved": len(sides) == 2 and sides["parent"] % 64 != sides["change"] % 64}
+            for name, sides in sorted(table.items(), key=lambda kv: min(kv[1].values()))]
+
+
 def placement():
-    """Address per side of each hot text symbol: {name: {side: address}}."""
-    table = {}
+    """Address per side of the hot text symbols and of the codec packages'
+    data symbols, plus each binary's module and VCS build lines."""
+    text, data, stamp = {}, {}, {}
     for side in ("parent", "change"):
-        proc = subprocess.run(["go", "tool", "nm", "-size", "-sort", "address",
-                               dirs[side] + "/.bench_build/perfbench"],
+        binary = dirs[side] + "/.bench_build/perfbench"
+        proc = subprocess.run(["go", "tool", "nm", "-size", "-sort", "address", binary],
                               stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         for line in proc.stdout.splitlines():
             f = line.split(None, 3)
-            if len(f) == 4 and f[2] in ("T", "t") and (
-                    f[3].startswith(("repro/internal/kernels.", "repro/internal/core.",
-                                     "repro.(*PipeWriter).", "repro.(*PipeReader).",
-                                     "repro.CompressInto[", "repro.compressInto[",
-                                     "repro.DecompressInto["))
-                    or f[3] in ("repro/internal/datagen.genField", "repro.(*frameReader).next")):
-                table.setdefault(f[3], {})[side] = int(f[0], 16)
-    rows = [{"symbol": name, "parent": sides.get("parent"), "change": sides.get("change"),
-             "moved": len(sides) == 2 and sides["parent"] % 64 != sides["change"] % 64}
-            for name, sides in sorted(table.items(), key=lambda kv: min(kv[1].values()))]
-    log.write(json.dumps({"run": run_id, "ref": ref, "placement": rows}) + "\n")
+            if len(f) != 4:
+                continue
+            if f[2] in ("T", "t") and (f[3].startswith(TEXT_PREFIXES) or f[3] in TEXT_NAMES):
+                text.setdefault(f[3], {})[side] = int(f[0], 16)
+            elif f[2] in ("D", "d", "B", "b") and f[3].startswith(DATA_PREFIXES):
+                data.setdefault(f[3], {})[side] = int(f[0], 16)
+        proc = subprocess.run(["go", "version", "-m", binary],
+                              stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        stamp[side] = []
+        for line in proc.stdout.splitlines():
+            f = line.split()
+            if f[:1] == ["mod"] or (f[:1] == ["build"] and f[1].startswith("vcs")):
+                stamp[side].append(" ".join(f))
+    text, data = rows_of(text), rows_of(data)
+    log.write(json.dumps({"run": run_id, "ref": ref, "placement": text,
+                          "data_placement": data, "build": stamp}) + "\n")
     log.flush()
-    return rows
+    return text, data, stamp
 
 
-layout = []
+layout, data_layout, stamp = [], [], {}
 for pair in range(pairs):
     order = ["parent", "change"] if pair % 2 == 0 else ["change", "parent"]
     for workload in workloads:
         for side in order:
             run(side, workload, pair)
     if pair == 0:
-        layout = placement()
+        layout, data_layout, stamp = placement()
 
 bad = False
 print("A/B: parent %s vs working tree, %d pairs, seed %s, %d s runs, run %s"
       % (ref, pairs, seed, bench["run_seconds"], run_id))
 for h in sorted(hosts):
     print("host: " + h)
-print("\nplacement (address/phase, phase = address mod 64; - = absent)")
-for row in layout:
-    cells = ["%x/%d" % (row[s], row[s] % 64) if row[s] is not None else "-" for s in ("parent", "change")]
-    short = row["symbol"].removeprefix("repro/internal/").removeprefix("repro.")
-    print(("  %-72s %12s %12s  %s" % (short, cells[0], cells[1],
-                                       "MOVED" if row["moved"] else "")).rstrip())
+for side in ("parent", "change"):
+    for l in stamp.get(side, []):
+        print("%s build: %s" % (side, l))
+
+
+def print_table(title, rows):
+    moved = sum(1 for row in rows if row["moved"])
+    print("\n%s (address/phase, phase = address mod 64; - = absent): %d of %d moved phase"
+          % (title, moved, len(rows)))
+    for row in rows:
+        cells = ["%x/%d" % (row[s], row[s] % 64) if row[s] is not None else "-" for s in ("parent", "change")]
+        short = row["symbol"].removeprefix("repro/internal/").removeprefix("repro.")
+        print(("  %-72s %12s %12s  %s" % (short, cells[0], cells[1],
+                                           "MOVED" if row["moved"] else "")).rstrip())
+
+
+print_table("text placement", layout)
+print_table("data placement", data_layout)
 for workload in workloads:
     print("\n%s" % workload)
     for side in ("parent", "change"):

@@ -10,6 +10,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/telemetry"
 )
 
 // shedUnread answers every request 429 without reading its body, as szxd's
@@ -56,11 +58,16 @@ func wantShed(t *testing.T, err error) {
 // after the transport has closed the previous attempt's body.
 func TestRetryWaitsForBodyRelease(t *testing.T) {
 	srv := shedUnread(t)
-	c := New(srv.URL, WithRetry(RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond}))
+	cc := oneNode(t, srv, RetryPolicy{MaxAttempts: 4, BaseBackoff: time.Microsecond, MaxBackoff: time.Microsecond})
 	vals := make([]float32, 256<<10) // 1 MiB body
+	retries := telemetry.ClusterRetries.Load()
 	for range 3 {
-		_, err := c.Compress(context.Background(), vals, Params{})
+		_, err := cc.Compress(context.Background(), vals, Params{})
 		wantShed(t, err)
+	}
+	// Nine retries fit the retry budget's starting bank of ten credits.
+	if got := telemetry.ClusterRetries.Load() - retries; got != 9 {
+		t.Errorf("%d retries, want 9 (3 calls of 4 attempts)", got)
 	}
 }
 

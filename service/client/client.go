@@ -51,9 +51,8 @@ var queryCache sync.Map // queryKey -> string
 // Client amortizes TCP/TLS setup the same way a pooled Codec amortizes
 // buffers.
 type Client struct {
-	base  string
-	hc    *http.Client
-	retry *RetryPolicy // nil unless WithRetry
+	base string
+	hc   *http.Client
 }
 
 // Option customizes a Client.
@@ -170,7 +169,7 @@ func readBody(resp *http.Response) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// reqBody is one attempt's in-memory request body. An http.RoundTripper
+// reqBody is one request's in-memory body. An http.RoundTripper
 // may keep reading a request body after Do returns, until it calls Close,
 // so the bytes behind it are reused only once closed is.
 type reqBody struct {
@@ -184,41 +183,16 @@ func (b *reqBody) Close() error {
 	return nil
 }
 
-// do posts an in-memory payload and returns the whole response body. With
-// WithRetry configured, shed responses (429/503) and transport failures
-// are retried with jittered backoff, honoring Retry-After and the context
-// deadline. Each attempt sends its own reader, and do returns or retries
-// only once the transport has closed it, so the caller may reuse payload;
-// staged, if not nil, holds payload and goes back to bodyPool then. If ctx
-// ends first the transport may still be reading, and staged is dropped.
-func (c *Client) do(ctx context.Context, path, rawQuery string, payload []byte, staged *[]byte) ([]byte, error) {
-	p := RetryPolicy{MaxAttempts: 1}
-	if c.retry != nil {
-		p = *c.retry
-	}
-	for attempt := 1; ; attempt++ {
-		out, released, err := c.attempt(ctx, path, rawQuery, payload)
-		if !released {
-			return out, err
-		}
-		// A deadline or cancellation during backoff returns the shed error,
-		// not the sleep's: it is the informative one.
-		retry := err != nil && attempt < p.MaxAttempts && IsRetryable(err)
-		if !retry || sleepRetry(ctx, retryDelay(p, attempt, retryAfterOf(err))) != nil {
-			if staged != nil {
-				bodyPool.Put(staged)
-			}
-			return out, err
-		}
-	}
-}
-
-// attempt sends payload once and reads the whole response. released
-// reports that the transport closed the request body before ctx ended.
-func (c *Client) attempt(ctx context.Context, path, rawQuery string, payload []byte) (out []byte, released bool, err error) {
+// do posts an in-memory payload once and returns the whole response body.
+// The request reads its own reader over payload, and do returns only once
+// the transport has closed it, so the caller may reuse payload; staged, if
+// not nil, holds payload and goes back to bodyPool then. If ctx ends first
+// the transport may still be reading, and staged is dropped. A Client
+// never retries: ClusterClient retries across nodes.
+func (c *Client) do(ctx context.Context, path, rawQuery string, payload []byte, staged *[]byte) (out []byte, err error) {
 	req, err := c.newRequest(ctx, path, rawQuery, nil)
 	if err != nil {
-		return nil, true, err
+		return nil, err
 	}
 	var body *reqBody
 	if len(payload) > 0 {
@@ -231,20 +205,21 @@ func (c *Client) attempt(ctx context.Context, path, rawQuery string, payload []b
 		out, err = readBody(resp)
 		resp.Body.Close()
 	}
-	if body == nil {
-		return out, true, err
+	if body != nil {
+		select {
+		case <-body.closed:
+		case <-ctx.Done():
+			return out, err // the transport may still be reading: drop staged
+		}
 	}
-	select {
-	case <-body.closed:
-		return out, true, err
-	case <-ctx.Done():
-		return out, false, err
+	if staged != nil {
+		bodyPool.Put(staged)
 	}
+	return out, err
 }
 
-// stream posts a streaming body: one attempt, since the body is consumed as
-// it goes, and no wait for the transport, since both directions flow at
-// once.
+// stream posts a streaming body, with no wait for the transport, since
+// both directions flow at once.
 func (c *Client) stream(ctx context.Context, path, rawQuery string, r io.Reader) (io.ReadCloser, error) {
 	req, err := c.newRequest(ctx, path, rawQuery, r)
 	if err != nil {

@@ -81,10 +81,7 @@ func NewCluster(cfg ClusterConfig) (*ClusterClient, error) {
 		seen[addr] = true
 		cc.nodes = append(cc.nodes, &clusterNode{
 			addr: addr,
-			// Per-node clients are retry-free on purpose: the cluster layer
-			// retries across nodes, which beats hammering the node that
-			// just shed us.
-			c: New(addr, WithHTTPClient(hc)),
+			c:    New(addr, WithHTTPClient(hc)),
 		})
 	}
 	if len(cc.nodes) == 0 {

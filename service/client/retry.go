@@ -8,7 +8,8 @@ import (
 	"time"
 )
 
-// RetryPolicy tunes automatic retries of shed requests. Attempts are
+// RetryPolicy tunes ClusterClient's retries of shed or failed requests
+// (a single-node Client sends each request once). Attempts are
 // capped, backoff is exponential with full jitter, a server-supplied
 // Retry-After always wins over the computed backoff, and a sleep is never
 // started that the context deadline could not survive — a retrying client
@@ -37,15 +38,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 		p.MaxBackoff = time.Second
 	}
 	return p
-}
-
-// WithRetry enables automatic retries on the Client for requests whose
-// bodies are replayable (in-memory payloads — Compress, Decompress, the
-// batch calls). Streaming requests are never retried: their bodies are
-// consumed by the failed attempt.
-func WithRetry(p RetryPolicy) Option {
-	pol := p.withDefaults()
-	return func(c *Client) { c.retry = &pol }
 }
 
 // IsRetryable reports whether err is worth retrying: a service shed

@@ -30,14 +30,25 @@ func shedThenServe(n int64, status int) (http.Handler, *atomic.Int64) {
 	return h, &calls
 }
 
-func TestWithRetrySucceedsAfterShed(t *testing.T) {
+// oneNode returns a ClusterClient over srv alone that retries per p and
+// does not poll membership.
+func oneNode(t *testing.T, srv *httptest.Server, p RetryPolicy) *ClusterClient {
+	t.Helper()
+	cc, err := NewCluster(ClusterConfig{Nodes: []string{srv.URL}, Retry: p, PollInterval: -1})
+	if err != nil {
+		t.Fatalf("NewCluster: %v", err)
+	}
+	t.Cleanup(func() { _ = cc.Close() })
+	return cc
+}
+
+func TestClusterRetrySucceedsAfterShed(t *testing.T) {
 	h, calls := shedThenServe(2, http.StatusTooManyRequests)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c := New(srv.URL,
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond}))
-	got, err := c.Compress(context.Background(), []float32{1, 2, 3, 4}, Params{})
+	cc := oneNode(t, srv, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 5 * time.Millisecond})
+	got, err := cc.Compress(context.Background(), []float32{1, 2, 3, 4}, Params{})
 	if err != nil {
 		t.Fatalf("Compress with retries: %v", err)
 	}
@@ -49,19 +60,18 @@ func TestWithRetrySucceedsAfterShed(t *testing.T) {
 	}
 }
 
-func TestWithRetryExhaustsAttempts(t *testing.T) {
+func TestClusterRetryExhaustsAttempts(t *testing.T) {
 	h, calls := shedThenServe(1<<30, http.StatusServiceUnavailable)
 	srv := httptest.NewServer(h)
 	defer srv.Close()
 
-	c := New(srv.URL,
-		WithRetry(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}))
+	cc := oneNode(t, srv, RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond})
 	// Retry-After of 1s must not be honored past the context deadline: cap
 	// the whole call well under one server-mandated backoff.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := c.Compress(ctx, []float32{1}, Params{})
+	_, err := cc.Compress(ctx, []float32{1}, Params{})
 	var se *Error
 	if !errors.As(err, &se) || se.Status != http.StatusServiceUnavailable {
 		t.Fatalf("want the 503 back after exhausting retries, got %v", err)
@@ -71,25 +81,6 @@ func TestWithRetryExhaustsAttempts(t *testing.T) {
 	}
 	if n := calls.Load(); n < 1 || n > 3 {
 		t.Fatalf("server saw %d attempts, want 1..3", n)
-	}
-}
-
-func TestWithRetryNeverRetriesStreams(t *testing.T) {
-	h, calls := shedThenServe(1<<30, http.StatusTooManyRequests)
-	srv := httptest.NewServer(h)
-	defer srv.Close()
-
-	c := New(srv.URL, WithRetry(RetryPolicy{MaxAttempts: 5, BaseBackoff: time.Millisecond}))
-	// A pipe body is not replayable; the client must make exactly one
-	// attempt rather than resend a consumed stream.
-	pr, pw := io.Pipe()
-	go func() { _, _ = pw.Write(make([]byte, 8)); _ = pw.Close() }()
-	_, err := c.StreamCompress(context.Background(), pr, Params{})
-	if err == nil {
-		t.Fatal("expected the shed error through")
-	}
-	if n := calls.Load(); n != 1 {
-		t.Fatalf("server saw %d attempts for a streaming body, want exactly 1", n)
 	}
 }
 

@@ -81,43 +81,20 @@ func NewWriter(w io.Writer, opt Options, chunkValues int) *Writer {
 // NewReader returns a streaming decompressor reading from r that reads and
 // decodes each frame on the caller's goroutine when Read needs it.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{frames: frameReader{codec: &streamFrames, r: r}}
+	return &Reader{frames: frameReader{r: r}}
 }
 
-// frameCodec is one length-prefixed container format, shared by SZXS and
-// SZXT:
-//
-//	magic(4) u8(version)
-//	repeat: u32 frameLen (1..maxFrameLen) | frameLen payload bytes
-//	u32(0) terminator
-//
-// The containers differ only in their header and in how they wrap errors.
-type frameCodec struct {
-	magic   string
-	version byte
-	// malformed wraps container-header failures; frameErr wraps the cause
-	// of a bad frame with its index and the offset of its length prefix.
-	malformed error
-	frameErr  func(idx int, off int64, cause error) error
-}
-
-// maxFrameLen caps a frame's length prefix.
+// maxFrameLen caps a frame's length prefix (1..maxFrameLen; 0 is the
+// terminator).
 const maxFrameLen = 1 << 31
-
-var streamFrames = frameCodec{
-	magic: streamMagic, version: streamVersion, malformed: ErrStream,
-	frameErr: func(idx int, off int64, cause error) error {
-		return &FrameError{Frame: idx, Offset: off, Err: cause}
-	},
-}
 
 // beginFrame appends the container header when first, then a zero length
 // prefix that endFrame sets once the payload follows it; it returns the
 // prefix's offset. A frame left empty is the terminator.
-func (c *frameCodec) beginFrame(dst []byte, first bool) ([]byte, int) {
+func beginFrame(dst []byte, first bool) ([]byte, int) {
 	if first {
-		dst = append(dst, c.magic...)
-		dst = append(dst, c.version)
+		dst = append(dst, streamMagic...)
+		dst = append(dst, streamVersion)
 	}
 	return append(dst, 0, 0, 0, 0), len(dst)
 }
@@ -129,38 +106,38 @@ func endFrame(frame []byte, off int) {
 
 // appendEnd appends the terminator, after the container header when no
 // frame precedes it.
-func (c *frameCodec) appendEnd(dst []byte, first bool) []byte {
-	dst, _ = c.beginFrame(dst, first)
+func appendEnd(dst []byte, first bool) []byte {
+	dst, _ = beginFrame(dst, first)
 	return dst
 }
 
 // frameReader reads a container's frames in order, header first.
 type frameReader struct {
-	codec *frameCodec
-	r     io.Reader
-	idx   int   // index of the next frame
-	off   int64 // container bytes consumed
+	r   io.Reader
+	idx int   // index of the next frame
+	off int64 // container bytes consumed
 }
 
 // next reads the next frame's payload into dst (reused) and returns it with
 // the frame's index and the offset of its length prefix. It returns io.EOF
-// at the terminator; any other error is final and wrapped by the codec.
+// at the terminator; any other error is final: ErrStream for a bad
+// container header, a *FrameError for a bad frame.
 func (fr *frameReader) next(dst []byte) (frame []byte, idx int, off int64, err error) {
-	c := fr.codec
 	if fr.off == 0 {
 		var hdr [5]byte
 		if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
-			return dst, 0, 0, fmt.Errorf("%w: container header: %w", c.malformed, err)
+			return dst, 0, 0, fmt.Errorf("%w: container header: %w", ErrStream, err)
 		}
-		if string(hdr[:4]) != c.magic || hdr[4] != c.version {
-			return dst, 0, 0, c.malformed
+		if string(hdr[:4]) != streamMagic || hdr[4] != streamVersion {
+			return dst, 0, 0, ErrStream
 		}
 		fr.off = int64(len(hdr))
 	}
 	idx, off = fr.idx, fr.off
 	var lenBuf [4]byte
 	if _, err := io.ReadFull(fr.r, lenBuf[:]); err != nil {
-		return dst, idx, off, c.frameErr(idx, off, fmt.Errorf("truncated frame header: %w", err))
+		return dst, idx, off, &FrameError{Frame: idx, Offset: off,
+			Err: fmt.Errorf("truncated frame header: %w", err)}
 	}
 	fr.off += 4
 	n := binary.LittleEndian.Uint32(lenBuf[:])
@@ -168,13 +145,14 @@ func (fr *frameReader) next(dst []byte) (frame []byte, idx int, off int64, err e
 		return dst, idx, off, io.EOF
 	}
 	if n > maxFrameLen {
-		return dst, idx, off, c.frameErr(idx, off, fmt.Errorf("frame length %d out of range", n))
+		return dst, idx, off, &FrameError{Frame: idx, Offset: off,
+			Err: fmt.Errorf("frame length %d out of range", n)}
 	}
 	frame, err = readFrameBody(fr.r, dst, int(n))
 	fr.off += int64(len(frame))
 	if err != nil {
-		return frame, idx, off, c.frameErr(idx, off,
-			fmt.Errorf("truncated frame (%d of %d payload bytes): %w", len(frame), n, err))
+		return frame, idx, off, &FrameError{Frame: idx, Offset: off,
+			Err: fmt.Errorf("truncated frame (%d of %d payload bytes): %w", len(frame), n, err)}
 	}
 	fr.idx++
 	return frame, idx, off, nil

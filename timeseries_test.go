@@ -1,6 +1,7 @@
 package szx
 
 import (
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"testing"
@@ -48,6 +49,30 @@ func TestTimeSeriesRoundTrip(t *testing.T) {
 				t.Fatalf("frame %d value %d exceeds bound (no accumulation allowed)", f, i)
 			}
 		}
+	}
+}
+
+// TestTimeFrameGoldenHash pins TimeCompressor's bytes with a literal hash
+// over its concatenated frames: one plain SZx keyframe, then delta frames.
+func TestTimeFrameGoldenHash(t *testing.T) {
+	const golden = "fbd0ab44ea060ca8125906160beb6c3cae0b593f757aaafdc698953bc70e7309"
+	tc, err := NewTimeCompressor(Options{ErrorBound: 1e-4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var all []byte
+	for f, frame := range evolveFrames(20000, 6, 7) {
+		comp, err := tc.CompressFrame(frame)
+		if err != nil {
+			t.Fatalf("frame %d: %v", f, err)
+		}
+		if f > 0 && comp[0] != frameDelta {
+			t.Errorf("frame %d: kind %#x, want a delta frame (%#x)", f, comp[0], frameDelta)
+		}
+		all = append(all, comp...)
+	}
+	if got := hex.EncodeToString(sumOf(all)); got != golden {
+		t.Fatalf("temporal frame hash drifted: %s (%d bytes)", got, len(all))
 	}
 }
 
