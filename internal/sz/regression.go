@@ -17,13 +17,8 @@ package sz
 // decodable in isolation.
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
-	"io"
 	"math"
-
-	"repro/internal/huffman"
 )
 
 // Predictor selects the prediction stage for Compress.
@@ -329,93 +324,21 @@ func compressRegression(data []float32, dims []int, errBound float64, capacity i
 		}
 	})
 
-	var huffBytes []byte
-	var err error
-	if len(codes) > 0 {
-		huffBytes, err = huffman.EncodeAll(codes, capacity)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var packed bytes.Buffer
-	fw, err := flate.NewWriter(&packed, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(huffBytes); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-
-	out := make([]byte, 0, headerBase+8*len(dims)+len(predBits)+4*len(coeffs)+packed.Len()+4*len(unpred))
-	out = append(out, magicReg...)
-	out = append(out, version, byte(nd))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(errBound))
-	out = append(out, b8[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(capacity))
-	out = append(out, b4[:]...)
-	for _, d := range dims {
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		out = append(out, b8[:]...)
-	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(unpred)))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(packed.Len()))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint32(b4[:], uint32(len(coeffs)))
-	out = append(out, b4[:]...)
-	out = append(out, predBits...)
-	for _, c := range coeffs {
-		binary.LittleEndian.PutUint32(b4[:], math.Float32bits(c))
-		out = append(out, b4[:]...)
-	}
-	out = append(out, packed.Bytes()...)
-	for _, u := range unpred {
-		binary.LittleEndian.PutUint32(b4[:], math.Float32bits(u))
-		out = append(out, b4[:]...)
-	}
-	return out, nil
+	head := binary.LittleEndian.AppendUint32(nil, uint32(len(coeffs)))
+	head = append(head, predBits...)
+	head = appendValues(head, coeffs)
+	return appendStream(magicReg, errBound, capacity, dims, head, codes, unpred)
 }
 
 // decompressRegression reverses compressRegression.
 func decompressRegression(comp []byte) ([]float32, []int, error) {
-	if len(comp) < headerBase || string(comp[:4]) != magicReg {
-		return nil, nil, ErrBadMagic
+	e, pos, err := readEnvelope(comp, magicReg, 4)
+	if err != nil {
+		return nil, nil, err
 	}
-	if comp[4] != version {
-		return nil, nil, ErrCorrupt
-	}
-	nd := int(comp[5])
-	if nd < 1 || nd > 4 {
-		return nil, nil, ErrCorrupt
-	}
-	errBound := math.Float64frombits(binary.LittleEndian.Uint64(comp[6:]))
-	capacity := int(binary.LittleEndian.Uint32(comp[14:]))
-	if !(errBound > 0) || capacity < 4 || capacity > 1<<22 {
-		return nil, nil, ErrCorrupt
-	}
-	pos := headerBase
-	if len(comp) < pos+8*nd+20 {
-		return nil, nil, ErrCorrupt
-	}
-	dims := make([]int, nd)
-	n := 1
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(comp[pos:]))
-		pos += 8
-		if dims[i] < 1 || dims[i] > 1<<30 || n > 1<<31/dims[i] {
-			return nil, nil, ErrCorrupt
-		}
-		n *= dims[i]
-	}
-	nUnpred := int(binary.LittleEndian.Uint64(comp[pos:]))
-	packedLen := int(binary.LittleEndian.Uint64(comp[pos+8:]))
-	nCoeff := int(binary.LittleEndian.Uint32(comp[pos+16:]))
-	pos += 20
+	dims, nd, errBound := e.dims, len(e.dims), e.errBound
+	nCoeff := int(binary.LittleEndian.Uint32(comp[pos:]))
+	pos += 4
 
 	edge := regBlockEdge(nd)
 	nBlocks := 1
@@ -423,41 +346,20 @@ func decompressRegression(comp []byte) ([]float32, []int, error) {
 		nBlocks *= (d + edge - 1) / edge
 	}
 	predLen := (nBlocks + 7) / 8
-	if nUnpred < 0 || nUnpred > n || packedLen < 0 || nCoeff < 0 ||
-		nCoeff > (nd+1)*nBlocks ||
-		len(comp) < pos+predLen+4*nCoeff+packedLen+4*nUnpred {
+	if nCoeff < 0 || nCoeff > (nd+1)*nBlocks || len(comp) < pos+predLen+4*nCoeff {
 		return nil, nil, ErrCorrupt
 	}
 	predBits := comp[pos : pos+predLen]
-	pos += predLen
-	coeffs := make([]float32, nCoeff)
-	for i := range coeffs {
-		coeffs[i] = math.Float32frombits(binary.LittleEndian.Uint32(comp[pos+4*i:]))
-	}
-	pos += 4 * nCoeff
-
-	fr := flate.NewReader(bytes.NewReader(comp[pos : pos+packedLen]))
-	huffBytes, err := io.ReadAll(fr)
+	coeffs := readValues[float32](comp[pos+predLen:], nCoeff)
+	codes, unpred, err := readPayload[float32](comp, pos+predLen+4*nCoeff, e)
 	if err != nil {
-		return nil, nil, ErrCorrupt
-	}
-	pos += packedLen
-	var codes []int
-	if n > 0 {
-		codes, _, err = huffman.DecodeAll(huffBytes, n)
-		if err != nil {
-			return nil, nil, ErrCorrupt
-		}
-	}
-	unpred := make([]float32, nUnpred)
-	for i := range unpred {
-		unpred[i] = math.Float32frombits(binary.LittleEndian.Uint32(comp[pos+4*i:]))
+		return nil, nil, err
 	}
 
 	str := strides(dims)
-	radius := capacity / 2
+	radius := e.capacity / 2
 	deltas := lorenzoDeltas(nd)
-	recon := make([]float32, n)
+	recon := make([]float32, e.n)
 	ci := 0 // code index
 	ui := 0
 	cf := 0 // coefficient index

@@ -20,7 +20,7 @@ func genGradient(h, w int) []float32 {
 func TestRegressionRoundTrip(t *testing.T) {
 	for _, pred := range []Predictor{PredRegression, PredAuto} {
 		for _, dims := range [][]int{{900}, {30, 30}, {10, 9, 10}, {2, 5, 9, 10}} {
-			data := gen3D(1, 30, 30, int64(len(dims)))
+			data := as[float32](gen3D(1, 30, 30, int64(len(dims))))
 			for _, e := range []float64{1e-2, 1e-4} {
 				comp, err := Compress(data, dims, e, Options{Predictor: pred})
 				if err != nil {
@@ -133,7 +133,7 @@ func TestFitPlaneDegenerateAxis(t *testing.T) {
 }
 
 func TestRegressionCorrupt(t *testing.T) {
-	data := gen2D(30, 30, 9)
+	data := as[float32](gen2D(30, 30, 9))
 	comp, err := Compress(data, []int{30, 30}, 1e-3, Options{Predictor: PredAuto})
 	if err != nil {
 		t.Fatal(err)

@@ -14,25 +14,14 @@
 package sz
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 
-	"repro/internal/huffman"
+	"repro/internal/ieee"
 )
 
 // DefaultCapacity is the quantization-code alphabet size (SZ's default).
 const DefaultCapacity = 65536
-
-// Stream constants.
-const (
-	magic      = "SZ2G"
-	headerBase = 4 + 1 + 1 + 8 + 4 // magic, version, ndims, errBound, capacity
-	version    = 1
-)
 
 // Errors returned by the codec.
 var (
@@ -40,51 +29,101 @@ var (
 	ErrCorrupt  = errors.New("sz: corrupt or truncated stream")
 	ErrErrBound = errors.New("sz: error bound must be a positive finite number")
 	ErrDims     = errors.New("sz: dims must be 1-4 positive values whose product is len(data)")
+	ErrOptions  = errors.New("sz: options need an even capacity in [4, 2^22] (or 0) and a predictor the element type supports")
 )
 
 // Options configures compression.
 type Options struct {
 	// Capacity is the quantization alphabet size (0 = DefaultCapacity).
-	// Must be an even number ≥ 4.
+	// Must be an even number in [4, 2^22].
 	Capacity int
 	// Predictor selects the prediction stage: the default global Lorenzo
 	// (SZ 1.4), blockwise regression, or SZ 2.1's per-block automatic
-	// choice between the two.
+	// choice between the two. Regression and automatic choice are
+	// float32-only.
 	Predictor Predictor
 }
 
-func (o Options) capacity() (int, error) {
+// check validates the arguments every predictor shares and returns the
+// capacity in effect. regression reports whether the element type has the
+// regression predictor.
+func (o Options) check(n int, dims []int, errBound float64, regression bool) (int, error) {
+	if !(errBound > 0) || math.IsInf(errBound, 0) {
+		return 0, ErrErrBound
+	}
 	c := o.Capacity
 	if c == 0 {
 		c = DefaultCapacity
 	}
 	if c < 4 || c%2 != 0 || c > 1<<22 {
-		return 0, ErrCorrupt
+		return 0, ErrOptions
 	}
-	return c, nil
+	switch o.Predictor {
+	case PredLorenzo:
+	case PredRegression, PredAuto:
+		if !regression {
+			return 0, ErrOptions
+		}
+	default:
+		return 0, ErrOptions
+	}
+	return c, checkDims(dims, n)
 }
 
 // Compress compresses data (row-major, dims slowest-first) under the
 // absolute error bound errBound.
 func Compress(data []float32, dims []int, errBound float64, opts Options) ([]byte, error) {
-	if !(errBound > 0) || math.IsInf(errBound, 0) {
-		return nil, ErrErrBound
-	}
-	capacity, err := opts.capacity()
+	capacity, err := opts.check(len(data), dims, errBound, true)
 	if err != nil {
-		return nil, err
-	}
-	if err := checkDims(dims, len(data)); err != nil {
 		return nil, err
 	}
 	if opts.Predictor != PredLorenzo {
 		return compressRegression(data, dims, errBound, capacity, opts.Predictor == PredAuto)
 	}
+	return compress(data, dims, errBound, capacity)
+}
 
+// Decompress reconstructs the values and dimensions from a stream produced
+// by Compress, dispatching on the stream's predictor family.
+func Decompress(comp []byte) ([]float32, []int, error) {
+	if len(comp) >= 4 && string(comp[:4]) == magicReg {
+		return decompressRegression(comp)
+	}
+	return decompress[float32](comp)
+}
+
+// CompressFloat64 compresses float64 data with the Lorenzo predictor. The
+// paper's in-memory motivation (quantum-circuit simulation) compresses
+// double-precision state; the pipeline is the float32 one, with 8-byte
+// unpredictable values.
+func CompressFloat64(data []float64, dims []int, errBound float64, opts Options) ([]byte, error) {
+	capacity, err := opts.check(len(data), dims, errBound, false)
+	if err != nil {
+		return nil, err
+	}
+	return compress(data, dims, errBound, capacity)
+}
+
+// DecompressFloat64 reverses CompressFloat64.
+func DecompressFloat64(comp []byte) ([]float64, []int, error) {
+	return decompress[float64](comp)
+}
+
+// magicOf is the Lorenzo stream magic of F's width.
+func magicOf[F ieee.Float]() string {
+	if ieee.Width[F]() == 4 {
+		return "SZ2G"
+	}
+	return "SZ2H"
+}
+
+// compress is the Lorenzo path: prediction from reconstructed neighbours,
+// linear-scale quantization, then the shared entropy stage.
+func compress[F ieee.Float](data []F, dims []int, errBound float64, capacity int) ([]byte, error) {
 	radius := capacity / 2
 	codes := make([]int, len(data))
-	recon := make([]float32, len(data))
-	var unpred []float32
+	recon := make([]F, len(data))
+	var unpred []F
 
 	quantize := func(i int, pred float64) {
 		d := float64(data[i])
@@ -94,9 +133,10 @@ func Compress(data []float32, dims []int, errBound float64, opts Options) ([]byt
 			rec := pred + float64(q)*2*errBound
 			if math.Abs(rec-d) <= errBound {
 				codes[i] = q + radius
-				recon[i] = float32(rec)
+				recon[i] = F(rec)
 				// The float32 rounding of the reconstruction must also
-				// respect the bound; otherwise fall through to unpredictable.
+				// respect the bound; otherwise fall through to
+				// unpredictable. For float64 this repeats the test above.
 				if math.Abs(float64(recon[i])-d) <= errBound {
 					return
 				}
@@ -108,115 +148,23 @@ func Compress(data []float32, dims []int, errBound float64, opts Options) ([]byt
 	}
 
 	walk(dims, recon, quantize)
-
-	// Entropy-code the quantization codes, then a lossless DEFLATE pass
-	// (standing in for SZ 2.1's Zstd stage).
-	var huffBytes []byte
-	if len(codes) > 0 {
-		huffBytes, err = huffman.EncodeAll(codes, capacity)
-		if err != nil {
-			return nil, err
-		}
-	}
-	var packed bytes.Buffer
-	fw, err := flate.NewWriter(&packed, flate.BestSpeed)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := fw.Write(huffBytes); err != nil {
-		return nil, err
-	}
-	if err := fw.Close(); err != nil {
-		return nil, err
-	}
-
-	out := make([]byte, 0, headerBase+8*len(dims)+packed.Len()+4*len(unpred))
-	out = append(out, magic...)
-	out = append(out, version, byte(len(dims)))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(errBound))
-	out = append(out, b8[:]...)
-	var b4 [4]byte
-	binary.LittleEndian.PutUint32(b4[:], uint32(capacity))
-	out = append(out, b4[:]...)
-	for _, d := range dims {
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		out = append(out, b8[:]...)
-	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(len(unpred)))
-	out = append(out, b8[:]...)
-	binary.LittleEndian.PutUint64(b8[:], uint64(packed.Len()))
-	out = append(out, b8[:]...)
-	out = append(out, packed.Bytes()...)
-	for _, u := range unpred {
-		binary.LittleEndian.PutUint32(b4[:], math.Float32bits(u))
-		out = append(out, b4[:]...)
-	}
-	return out, nil
+	return appendStream(magicOf[F](), errBound, capacity, dims, nil, codes, unpred)
 }
 
-// Decompress reconstructs the values and dimensions from a stream produced
-// by Compress, dispatching on the stream's predictor family.
-func Decompress(comp []byte) ([]float32, []int, error) {
-	if len(comp) >= 4 && string(comp[:4]) == magicReg {
-		return decompressRegression(comp)
-	}
-	if len(comp) < headerBase || string(comp[:4]) != magic {
-		return nil, nil, ErrBadMagic
-	}
-	if comp[4] != version {
-		return nil, nil, ErrCorrupt
-	}
-	ndims := int(comp[5])
-	if ndims < 1 || ndims > 4 {
-		return nil, nil, ErrCorrupt
-	}
-	errBound := math.Float64frombits(binary.LittleEndian.Uint64(comp[6:]))
-	capacity := int(binary.LittleEndian.Uint32(comp[14:]))
-	if !(errBound > 0) || capacity < 4 || capacity > 1<<22 {
-		return nil, nil, ErrCorrupt
-	}
-	pos := headerBase
-	if len(comp) < pos+8*ndims+16 {
-		return nil, nil, ErrCorrupt
-	}
-	dims := make([]int, ndims)
-	n := 1
-	for i := range dims {
-		dims[i] = int(binary.LittleEndian.Uint64(comp[pos:]))
-		pos += 8
-		if dims[i] < 1 || dims[i] > 1<<30 || n > 1<<31/dims[i] {
-			return nil, nil, ErrCorrupt
-		}
-		n *= dims[i]
-	}
-	nUnpred := int(binary.LittleEndian.Uint64(comp[pos:]))
-	packedLen := int(binary.LittleEndian.Uint64(comp[pos+8:]))
-	pos += 16
-	if nUnpred < 0 || nUnpred > n || packedLen < 0 || len(comp) < pos+packedLen+4*nUnpred {
-		return nil, nil, ErrCorrupt
-	}
-
-	fr := flate.NewReader(bytes.NewReader(comp[pos : pos+packedLen]))
-	huffBytes, err := io.ReadAll(fr)
+// decompress reverses compress.
+func decompress[F ieee.Float](comp []byte) ([]F, []int, error) {
+	e, pos, err := readEnvelope(comp, magicOf[F](), 0)
 	if err != nil {
-		return nil, nil, ErrCorrupt
+		return nil, nil, err
 	}
-	pos += packedLen
-	var codes []int
-	if n > 0 {
-		codes, _, err = huffman.DecodeAll(huffBytes, n)
-		if err != nil {
-			return nil, nil, ErrCorrupt
-		}
-	}
-	unpred := make([]float32, nUnpred)
-	for i := range unpred {
-		unpred[i] = math.Float32frombits(binary.LittleEndian.Uint32(comp[pos+4*i:]))
+	codes, unpred, err := readPayload[F](comp, pos, e)
+	if err != nil {
+		return nil, nil, err
 	}
 
-	radius := capacity / 2
-	recon := make([]float32, n)
+	radius := e.capacity / 2
+	errBound := e.errBound
+	recon := make([]F, e.n)
 	ui := 0
 	bad := false
 	dequant := func(i int, pred float64) {
@@ -230,14 +178,13 @@ func Decompress(comp []byte) ([]float32, []int, error) {
 			ui++
 			return
 		}
-		q := c - radius
-		recon[i] = float32(pred + float64(q)*2*errBound)
+		recon[i] = F(pred + float64(c-radius)*2*errBound)
 	}
-	walk(dims, recon, dequant)
+	walk(e.dims, recon, dequant)
 	if bad {
 		return nil, nil, ErrCorrupt
 	}
-	return recon, dims, nil
+	return recon, e.dims, nil
 }
 
 func checkDims(dims []int, n int) error {
@@ -261,7 +208,7 @@ func checkDims(dims []int, n int) error {
 // linear index and the Lorenzo prediction computed from already-visited
 // (reconstructed) neighbours in recon. 4-D data is treated as a stack of
 // independent 3-D volumes, as in SZ.
-func walk(dims []int, recon []float32, visit func(i int, pred float64)) {
+func walk[F ieee.Float](dims []int, recon []F, visit func(i int, pred float64)) {
 	switch len(dims) {
 	case 1:
 		lorenzo1D(dims[0], 0, recon, visit)
@@ -277,7 +224,7 @@ func walk(dims []int, recon []float32, visit func(i int, pred float64)) {
 	}
 }
 
-func lorenzo1D(n, base int, r []float32, visit func(int, float64)) {
+func lorenzo1D[F ieee.Float](n, base int, r []F, visit func(int, float64)) {
 	for i := 0; i < n; i++ {
 		pred := 0.0
 		if i > 0 {
@@ -287,7 +234,7 @@ func lorenzo1D(n, base int, r []float32, visit func(int, float64)) {
 	}
 }
 
-func lorenzo2D(h, w, base int, r []float32, visit func(int, float64)) {
+func lorenzo2D[F ieee.Float](h, w, base int, r []F, visit func(int, float64)) {
 	at := func(y, x int) float64 {
 		if y < 0 || x < 0 {
 			return 0
@@ -302,7 +249,7 @@ func lorenzo2D(h, w, base int, r []float32, visit func(int, float64)) {
 	}
 }
 
-func lorenzo3D(d, h, w, base int, r []float32, visit func(int, float64)) {
+func lorenzo3D[F ieee.Float](d, h, w, base int, r []F, visit func(int, float64)) {
 	at := func(z, y, x int) float64 {
 		if z < 0 || y < 0 || x < 0 {
 			return 0

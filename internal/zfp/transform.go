@@ -17,7 +17,7 @@ package zfp
 //	       (-2  6 -6  2)
 //
 // using only additions, subtractions, and arithmetic shifts.
-func fwdLift(p []int32, off, s int) {
+func fwdLift[I coeff](p []I, off, s int) {
 	x := p[off]
 	y := p[off+s]
 	z := p[off+2*s]
@@ -46,7 +46,7 @@ func fwdLift(p []int32, off, s int) {
 
 // invLift inverts fwdLift (up to the low-order bits the forward shifts
 // discard, which is part of ZFP's controlled loss).
-func invLift(p []int32, off, s int) {
+func invLift[I coeff](p []I, off, s int) {
 	x := p[off]
 	y := p[off+s]
 	z := p[off+2*s]
@@ -74,7 +74,7 @@ func invLift(p []int32, off, s int) {
 }
 
 // fwdXform applies the forward transform along every dimension of a block.
-func fwdXform(block []int32, dims int) {
+func fwdXform[I coeff](block []I, dims int) {
 	switch dims {
 	case 1:
 		fwdLift(block, 0, 1)
@@ -105,7 +105,7 @@ func fwdXform(block []int32, dims int) {
 }
 
 // invXform applies the inverse transform (reverse dimension order).
-func invXform(block []int32, dims int) {
+func invXform[I coeff](block []I, dims int) {
 	switch dims {
 	case 1:
 		invLift(block, 0, 1)

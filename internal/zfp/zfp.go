@@ -6,13 +6,11 @@ import (
 	"math"
 
 	"repro/internal/bitio"
+	"repro/internal/ieee"
 )
 
-// Stream constants.
-const (
-	magic   = "ZFPG"
-	version = 1
-)
+// version is the stream format version; the magic comes from formatOf.
+const version = 1
 
 // Errors returned by the codec.
 var (
@@ -30,6 +28,28 @@ var (
 // quantization floor: tolerances below roughly maxAbs*2^-20 degrade to that
 // floor (far below any error bound used in the paper's evaluation).
 func Compress(data []float32, dims []int, tolerance float64) ([]byte, error) {
+	return compress[float32, int32, uint32](data, dims, tolerance)
+}
+
+// Decompress reconstructs values and dimensions from a Compress stream.
+func Decompress(comp []byte) ([]float32, []int, error) {
+	return decompress[float32, int32, uint32](comp)
+}
+
+// CompressFloat64 is the float64 fixed-accuracy compressor, the double
+// precision analogue of Compress: int64 coefficients, 64 bit planes and a
+// 12-bit block exponent, as in the original's double-precision
+// instantiation.
+func CompressFloat64(data []float64, dims []int, tolerance float64) ([]byte, error) {
+	return compress[float64, int64, uint64](data, dims, tolerance)
+}
+
+// DecompressFloat64 reverses CompressFloat64.
+func DecompressFloat64(comp []byte) ([]float64, []int, error) {
+	return decompress[float64, int64, uint64](comp)
+}
+
+func compress[F ieee.Float, I coeff, U ieee.Word](data []F, dims []int, tolerance float64) ([]byte, error) {
 	if !(tolerance > 0) || math.IsInf(tolerance, 0) {
 		return nil, ErrErrBound
 	}
@@ -39,33 +59,27 @@ func Compress(data []float32, dims []int, tolerance float64) ([]byte, error) {
 	_, minexp := math.Frexp(tolerance)
 	minexp-- // tolerance >= 2^minexp
 
-	w := bitio.NewWriter(len(data))
-	var block [64]float32
-	var fblock [64]int32
-	forEachBlock(data, dims, block[:], func(blk []float32, bdims int) {
-		encodeBlock(w, blk, fblock[:], bdims, minexp)
+	w := bitio.NewWriter(ieee.Width[F]() * len(data) / 4)
+	var block [64]F
+	var fblock [64]I
+	forEachBlock(data, dims, block[:], func(blk []F, bdims int) {
+		encodeBlock[F, I, U](w, blk, fblock[:], bdims, minexp)
 	})
 
 	payload := w.Bytes()
 	out := make([]byte, 0, 32+8*len(dims)+len(payload))
-	out = append(out, magic...)
+	out = append(out, formatOf[F]().magic...)
 	out = append(out, version, byte(len(dims)))
-	var b8 [8]byte
-	binary.LittleEndian.PutUint64(b8[:], math.Float64bits(tolerance))
-	out = append(out, b8[:]...)
+	out = binary.LittleEndian.AppendUint64(out, math.Float64bits(tolerance))
 	for _, d := range dims {
-		binary.LittleEndian.PutUint64(b8[:], uint64(d))
-		out = append(out, b8[:]...)
+		out = binary.LittleEndian.AppendUint64(out, uint64(d))
 	}
-	binary.LittleEndian.PutUint64(b8[:], uint64(w.Len()))
-	out = append(out, b8[:]...)
-	out = append(out, payload...)
-	return out, nil
+	out = binary.LittleEndian.AppendUint64(out, uint64(w.Len()))
+	return append(out, payload...), nil
 }
 
-// Decompress reconstructs values and dimensions from a Compress stream.
-func Decompress(comp []byte) ([]float32, []int, error) {
-	if len(comp) < 14 || string(comp[:4]) != magic {
+func decompress[F ieee.Float, I coeff, U ieee.Word](comp []byte) ([]F, []int, error) {
+	if len(comp) < 14 || string(comp[:4]) != formatOf[F]().magic {
 		return nil, nil, ErrBadMagic
 	}
 	if comp[4] != version {
@@ -111,12 +125,12 @@ func Decompress(comp []byte) ([]float32, []int, error) {
 	minexp--
 
 	r := bitio.NewReader(comp[pos:])
-	out := make([]float32, n)
-	var block [64]float32
-	var fblock [64]int32
+	out := make([]F, n)
+	var block [64]F
+	var fblock [64]I
 	var derr error
-	forEachBlockScatter(out, dims, block[:], func(blk []float32, bdims int) bool {
-		if err := decodeBlock(r, blk, fblock[:], bdims, minexp); err != nil {
+	forEachBlockScatter(out, dims, block[:], func(blk []F, bdims int) bool {
+		if err := decodeBlock[F, I, U](r, blk, fblock[:], bdims, minexp); err != nil {
 			derr = err
 			return false
 		}
@@ -156,7 +170,7 @@ func clamp(i, n int) int {
 // forEachBlock gathers each 4^d block (edge-replicated at partial borders)
 // and hands it to visit. 4-D data is processed as dims[0] independent 3-D
 // volumes, as in ZFP.
-func forEachBlock(data []float32, dims []int, block []float32, visit func(blk []float32, bdims int)) {
+func forEachBlock[F ieee.Float](data []F, dims []int, block []F, visit func(blk []F, bdims int)) {
 	switch len(dims) {
 	case 1:
 		n := dims[0]
@@ -207,7 +221,7 @@ func forEachBlock(data []float32, dims []int, block []float32, visit func(blk []
 
 // forEachBlockScatter mirrors forEachBlock for decompression: visit fills
 // the block, and the in-range portion is scattered back into out.
-func forEachBlockScatter(out []float32, dims []int, block []float32, visit func(blk []float32, bdims int) bool) {
+func forEachBlockScatter[F ieee.Float](out []F, dims []int, block []F, visit func(blk []F, bdims int) bool) {
 	switch len(dims) {
 	case 1:
 		n := dims[0]
@@ -257,7 +271,7 @@ func forEachBlockScatter(out []float32, dims []int, block []float32, visit func(
 		vol := dims[1] * dims[2] * dims[3]
 		for s := 0; s < dims[0]; s++ {
 			done := false
-			forEachBlockScatter(out[s*vol:(s+1)*vol], dims[1:], block, func(blk []float32, bd int) bool {
+			forEachBlockScatter(out[s*vol:(s+1)*vol], dims[1:], block, func(blk []F, bd int) bool {
 				ok := visit(blk, bd)
 				if !ok {
 					done = true

@@ -3,11 +3,45 @@ package zfp
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/ieee"
 )
 
-func maxErr(a, b []float32) float64 {
+// float is a test's element type: the table tests below run over float32
+// and float64 through one generic helper each.
+type float interface{ float32 | float64 }
+
+// compressAs and decompressAs reach the exported entry points of F's width.
+func compressAs[F float](data []F, dims []int, tol float64) ([]byte, error) {
+	if d, ok := any(data).([]float32); ok {
+		return Compress(d, dims, tol)
+	}
+	return CompressFloat64(any(data).([]float64), dims, tol)
+}
+
+func decompressAs[F float](comp []byte) (out []F, dims []int, err error) {
+	switch p := any(&out).(type) {
+	case *[]float32:
+		*p, dims, err = Decompress(comp)
+	case *[]float64:
+		*p, dims, err = DecompressFloat64(comp)
+	}
+	return out, dims, err
+}
+
+// as converts generated values to F.
+func as[F float](src []float64) []F {
+	out := make([]F, len(src))
+	for i, v := range src {
+		out[i] = F(v)
+	}
+	return out
+}
+
+func maxErr[F float](a, b []F) float64 {
 	m := 0.0
 	for i := range a {
 		d := math.Abs(float64(a[i]) - float64(b[i]))
@@ -18,15 +52,15 @@ func maxErr(a, b []float32) float64 {
 	return m
 }
 
-func gen3D(d, h, w int, seed int64) []float32 {
+func gen3D(d, h, w int, seed int64) []float64 {
 	rng := rand.New(rand.NewSource(seed))
-	out := make([]float32, d*h*w)
+	out := make([]float64, d*h*w)
 	i := 0
 	for z := 0; z < d; z++ {
 		for y := 0; y < h; y++ {
 			for x := 0; x < w; x++ {
-				out[i] = float32(math.Sin(float64(x)/15)*math.Cos(float64(y)/10)*
-					math.Sin(float64(z)/8)*10 + 0.01*rng.NormFloat64())
+				out[i] = math.Sin(float64(x)/15)*math.Cos(float64(y)/10)*
+					math.Sin(float64(z)/8)*10 + 0.01*rng.NormFloat64()
 				i++
 			}
 		}
@@ -34,14 +68,35 @@ func gen3D(d, h, w int, seed int64) []float32 {
 	return out
 }
 
-func TestLiftRoundTripApprox(t *testing.T) {
-	// The lifting transform loses only low-order bits: inverse(forward(x))
-	// must match x within a few units.
-	rng := rand.New(rand.NewSource(1))
-	for trial := 0; trial < 1000; trial++ {
-		var p, q [4]int32
+// roundTrip compresses data at every tolerance and checks the decoded
+// shape and the bound.
+func roundTrip[F float](t *testing.T, data []F, dims []int, tols ...float64) {
+	t.Helper()
+	for _, tol := range tols {
+		comp, err := compressAs(data, dims, tol)
+		if err != nil {
+			t.Fatalf("%T %v tol=%g: %v", data, dims, tol, err)
+		}
+		dec, got, err := decompressAs[F](comp)
+		if err != nil {
+			t.Fatalf("%T %v tol=%g: %v", data, dims, tol, err)
+		}
+		if !slices.Equal(got, dims) {
+			t.Fatalf("%T %v: dims %v", data, dims, got)
+		}
+		if e := maxErr(data, dec); e > tol {
+			t.Errorf("%T %v tol=%g: max error %g", data, dims, tol, e)
+		}
+	}
+}
+
+// checkLift asserts that the lifting transform loses only low-order bits:
+// inverse(forward(x)) must match x within a few units.
+func checkLift[I coeff](t *testing.T, trials int, rnd func() I) {
+	for trial := 0; trial < trials; trial++ {
+		var p, q [4]I
 		for i := range p {
-			p[i] = int32(rng.Intn(1<<28)) - 1<<27
+			p[i] = rnd()
 			q[i] = p[i]
 		}
 		fwdLift(q[:], 0, 1)
@@ -55,26 +110,45 @@ func TestLiftRoundTripApprox(t *testing.T) {
 	}
 }
 
-func TestNegabinaryRoundTrip(t *testing.T) {
-	cases := []int32{0, 1, -1, 2, -2, 1 << 30, -(1 << 30), math.MaxInt32, math.MinInt32}
+func TestLiftRoundTripApprox(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	checkLift(t, 1000, func() int32 { return int32(rng.Intn(1<<28)) - 1<<27 })
+}
+
+func TestLift64NearInvertible(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	checkLift(t, 500, func() int64 { return rng.Int63n(1<<60) - 1<<59 })
+}
+
+func checkNegabinary[I coeff, U ieee.Word](t *testing.T, cases ...I) {
 	for _, x := range cases {
-		if got := negabinary2int(int2negabinary(x)); got != x {
+		if got := negabinary2int[I](int2negabinary[U](x)); got != x {
 			t.Errorf("negabinary(%d) -> %d", x, got)
 		}
 	}
-	f := func(x int32) bool { return negabinary2int(int2negabinary(x)) == x }
+	f := func(x I) bool { return negabinary2int[I](int2negabinary[U](x)) == x }
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
 }
 
+func TestNegabinaryRoundTrip(t *testing.T) {
+	checkNegabinary[int32, uint32](t, 0, 1, -1, 2, -2, 1<<30, -(1 << 30), math.MaxInt32, math.MinInt32)
+}
+
+func TestNegabinary64RoundTrip(t *testing.T) {
+	checkNegabinary[int64, uint64](t, 0, 1, -1, 1<<62, -(1 << 62), math.MaxInt64, math.MinInt64)
+}
+
 func TestNegabinarySmallMagnitude(t *testing.T) {
 	// Small magnitudes (either sign) must have only low-order bits set so
-	// bit-plane coding truncates gracefully.
+	// bit-plane coding truncates gracefully, at either width.
 	for _, x := range []int32{-8, -1, 0, 1, 8} {
-		u := int2negabinary(x)
-		if u > 64 {
+		if u := int2negabinary[uint32](x); u > 64 {
 			t.Errorf("negabinary(%d) = %#x has high bits", x, u)
+		}
+		if u := int2negabinary[uint64](int64(x)); u > 64 {
+			t.Errorf("negabinary64(%d) = %#x has high bits", x, u)
 		}
 	}
 }
@@ -114,145 +188,168 @@ func TestPermProperties(t *testing.T) {
 }
 
 func TestRoundTrip1D(t *testing.T) {
-	data := make([]float32, 1000)
+	data := make([]float64, 1000)
 	for i := range data {
-		data[i] = float32(math.Sin(float64(i) / 25))
+		data[i] = math.Sin(float64(i) / 25)
 	}
-	for _, tol := range []float64{1e-1, 1e-3, 1e-6} {
-		comp, err := Compress(data, []int{1000}, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, _, err := Decompress(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := maxErr(data, dec); got > tol {
-			t.Errorf("tol=%g: max error %g", tol, got)
-		}
-	}
+	roundTrip(t, as[float32](data), []int{1000}, 1e-1, 1e-3, 1e-6)
+	roundTrip(t, data, []int{1000}, 1e-1, 1e-3, 1e-6)
 }
 
 func TestRoundTrip2D(t *testing.T) {
 	const h, w = 67, 93 // deliberately not multiples of 4
-	data := make([]float32, h*w)
+	data := make([]float64, h*w)
 	for y := 0; y < h; y++ {
 		for x := 0; x < w; x++ {
-			data[y*w+x] = float32(math.Sin(float64(x)/9)*math.Cos(float64(y)/7)*5 + 100)
+			data[y*w+x] = math.Sin(float64(x)/9)*math.Cos(float64(y)/7)*5 + 100
 		}
 	}
-	for _, tol := range []float64{1e-2, 1e-4} {
-		comp, err := Compress(data, []int{h, w}, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, dims, err := Decompress(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dims[0] != h || dims[1] != w {
-			t.Fatalf("dims %v", dims)
-		}
-		if got := maxErr(data, dec); got > tol {
-			t.Errorf("tol=%g: max error %g", tol, got)
-		}
-	}
+	roundTrip(t, as[float32](data), []int{h, w}, 1e-2, 1e-4)
+	roundTrip(t, data, []int{h, w}, 1e-2, 1e-4)
 }
 
 func TestRoundTrip3D(t *testing.T) {
 	data := gen3D(22, 30, 41, 2)
-	for _, tol := range []float64{1e-1, 1e-3} {
-		comp, err := Compress(data, []int{22, 30, 41}, tol)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, _, err := Decompress(comp)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := maxErr(data, dec); got > tol {
-			t.Errorf("tol=%g: max error %g", tol, got)
-		}
-	}
+	roundTrip(t, as[float32](data), []int{22, 30, 41}, 1e-1, 1e-3)
+	roundTrip(t, data, []int{22, 30, 41}, 1e-1, 1e-3)
 }
 
 func TestRoundTrip4D(t *testing.T) {
 	data := gen3D(8, 10, 12, 3)
-	comp, err := Compress(data, []int{2, 4, 10, 12}, 1e-3)
+	roundTrip(t, as[float32](data), []int{2, 4, 10, 12}, 1e-3)
+	roundTrip(t, data, []int{2, 4, 10, 12}, 1e-3)
+}
+
+// Double precision honors bounds far below the float32 quantization floor.
+func TestRoundTrip64(t *testing.T) {
+	roundTrip(t, gen3D(17, 22, 30, 1), []int{17, 22, 30}, 1e-1, 1e-4, 1e-9)
+}
+
+func TestRoundTrip64Dims(t *testing.T) {
+	data := gen3D(2, 9, 13, 2)
+	for _, dims := range [][]int{{234}, {18, 13}, {2, 9, 13}, {2, 1, 9, 13}} {
+		roundTrip(t, as[float32](data), dims, 1e-3)
+		roundTrip(t, data, dims, 1e-6)
+	}
+}
+
+func TestTightBound64(t *testing.T) {
+	roundTrip(t, gen3D(8, 8, 8, 5), []int{8, 8, 8}, 1e-12)
+}
+
+func checkRatio[F float](t *testing.T, data []F, dims []int, tol, min float64) {
+	comp, err := compressAs(data, dims, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, _, err := Decompress(comp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := maxErr(data, dec); got > 1e-3 {
-		t.Errorf("max error %g", got)
+	cr := float64(ieee.Width[F]()*len(data)) / float64(len(comp))
+	if cr < min {
+		t.Errorf("%T: ZFP ratio %.2f too low for smooth 3D data", data, cr)
 	}
 }
 
 func TestCompressesSmoothdata(t *testing.T) {
 	data := gen3D(32, 32, 32, 4)
-	comp, err := Compress(data, []int{32, 32, 32}, 2e-2) // ~REL 1e-3 of range 20
-	if err != nil {
-		t.Fatal(err)
-	}
-	cr := float64(4*len(data)) / float64(len(comp))
-	if cr < 4 {
-		t.Errorf("ZFP ratio %.2f too low for smooth 3D data", cr)
-	}
+	// ~REL 1e-3 of range 20.
+	checkRatio(t, as[float32](data), []int{32, 32, 32}, 2e-2, 4)
+	checkRatio(t, data, []int{32, 32, 32}, 2e-2, 4)
 }
 
-func TestAllZeroBlocks(t *testing.T) {
-	data := make([]float32, 4096)
-	comp, err := Compress(data, []int{16, 16, 16}, 1e-4)
+// checkZeros asserts that an all-zero field costs ~1 bit per block and
+// decodes to zeros.
+func checkZeros[F float](t *testing.T, dims []int, tol float64) {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	comp, err := compressAs(make([]F, n), dims, tol)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// All-insignificant blocks cost ~1 bit each: 64 blocks -> tiny stream.
 	if len(comp) > 128 {
-		t.Errorf("zero data stream %d bytes", len(comp))
+		t.Errorf("%v zero data stream %d bytes", dims, len(comp))
 	}
-	dec, _, err := Decompress(comp)
+	dec, _, err := decompressAs[F](comp)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range dec {
 		if v != 0 {
-			t.Fatalf("dec[%d] = %v", i, v)
+			t.Fatalf("%v dec[%d] = %v", dims, i, v)
 		}
 	}
 }
 
+func TestAllZeroBlocks(t *testing.T) {
+	// 64 insignificant blocks -> tiny stream.
+	checkZeros[float32](t, []int{16, 16, 16}, 1e-4)
+	checkZeros[float64](t, []int{16, 16, 16}, 1e-4)
+}
+
+func TestZeros64(t *testing.T) {
+	checkZeros[float32](t, []int{1024}, 1e-6)
+	checkZeros[float64](t, []int{1024}, 1e-6)
+}
+
+func checkInvalidArgs[F float](t *testing.T) {
+	data := []F{1, 2, 3, 4}
+	if _, err := compressAs(data, []int{4}, 0); err != ErrErrBound {
+		t.Errorf("%T tol=0: %v", data, err)
+	}
+	if _, err := compressAs(data, []int{5}, 1e-3); err != ErrDims {
+		t.Errorf("%T bad dims: %v", data, err)
+	}
+	if _, err := compressAs(data, []int{}, 1e-3); err != ErrDims {
+		t.Errorf("%T no dims: %v", data, err)
+	}
+}
+
 func TestInvalidArgs(t *testing.T) {
-	data := []float32{1, 2, 3, 4}
-	if _, err := Compress(data, []int{4}, 0); err != ErrErrBound {
-		t.Errorf("tol=0: %v", err)
+	checkInvalidArgs[float32](t)
+	checkInvalidArgs[float64](t)
+}
+
+// checkCorrupt asserts that a stream cut to short bytes is rejected and
+// that flipping every step-th byte never panics.
+func checkCorrupt[F float](t *testing.T, comp []byte, short, step int, flip byte) {
+	if _, _, err := decompressAs[F](comp[:short]); err == nil {
+		t.Errorf("%d-byte stream accepted", short)
 	}
-	if _, err := Compress(data, []int{5}, 1e-3); err != ErrDims {
-		t.Errorf("bad dims: %v", err)
+	if _, _, err := decompressAs[F]([]byte("AAAABBBBCCCCDDDD")); err != ErrBadMagic {
+		t.Errorf("bad magic: %v", err)
 	}
-	if _, err := Compress(data, []int{}, 1e-3); err != ErrDims {
-		t.Errorf("no dims: %v", err)
+	for i := 0; i < len(comp); i += step {
+		c := append([]byte(nil), comp...)
+		c[i] ^= flip
+		_, _, _ = decompressAs[F](c) // must not panic
 	}
 }
 
 func TestCorrupt(t *testing.T) {
-	data := gen3D(10, 10, 10, 5)
-	comp, err := Compress(data, []int{10, 10, 10}, 1e-3)
+	comp, err := Compress(as[float32](gen3D(10, 10, 10, 5)), []int{10, 10, 10}, 1e-3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Decompress(comp[:8]); err == nil {
-		t.Error("short stream accepted")
+	checkCorrupt[float32](t, comp, 8, 19, 0x3C)
+}
+
+func TestCorrupt64(t *testing.T) {
+	data := gen3D(4, 8, 8, 6)
+	comp, err := CompressFloat64(data, []int{4, 8, 8}, 1e-4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, err := Decompress([]byte("AAAABBBBCCCCDDDD")); err != ErrBadMagic {
-		t.Errorf("bad magic: %v", err)
+	checkCorrupt[float64](t, comp, 6, 29, 0xF0)
+	// A stream of one width is not a stream of the other.
+	c32, err := Compress(as[float32](data), []int{4, 8, 8}, 1e-4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < len(comp); i += 19 {
-		c := append([]byte(nil), comp...)
-		c[i] ^= 0x3C
-		_, _, _ = Decompress(c) // must not panic
+	if _, _, err := DecompressFloat64(c32); err != ErrBadMagic {
+		t.Errorf("float32 stream as float64: %v", err)
+	}
+	if _, _, err := Decompress(comp); err != ErrBadMagic {
+		t.Errorf("float64 stream as float32: %v", err)
 	}
 }
 
