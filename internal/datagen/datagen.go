@@ -121,31 +121,52 @@ func genField(dims []int, sp fieldSpec, rng *rand.Rand) Field {
 	}
 
 	// First pass: raw structure field g (before the per-kind transform).
+	// Each term is amp·t₀[i₀]·…·t_last[x], multiplied left to right. The
+	// product over every axis but the last is the same along a row, so it
+	// is formed once per row (the prefixes) and each value multiplies in
+	// only its last-axis factor. The explicit float64 conversions round
+	// every product before it is summed, so no target may fuse a multiply
+	// into the following add: the bytes match the per-value product.
 	raw := make([]float64, n)
-	idx := make([]int, nd)
+	idx := make([]int, nd) // row index; idx[nd-1] stays 0
+	last := nd - 1
+	rowLen := dims[last]
+	pre := make([]float64, sp.modes+nBumps)
+	lastTabs := make([][]float64, 0, sp.modes+nBumps) // modes, then bumps
+	for m := 0; m < sp.modes; m++ {
+		lastTabs = append(lastTabs, tabs[m][last].vals)
+	}
+	for b := 0; b < nBumps; b++ {
+		lastTabs = append(lastTabs, bumpTabs[b][last].vals)
+	}
 	var sum, sumSq float64
-	for i := 0; i < n; i++ {
-		g := 0.0
+	for row := 0; row < n; row += rowLen {
 		for m := 0; m < sp.modes; m++ {
 			p := modeAmp[m]
-			for d := 0; d < nd; d++ {
-				p *= tabs[m][d].vals[idx[d]]
+			for d := 0; d < last; d++ {
+				p = float64(p * tabs[m][d].vals[idx[d]])
 			}
-			g += p
+			pre[m] = p
 		}
 		for b := 0; b < nBumps; b++ {
 			p := bumpAmp[b]
-			for d := 0; d < nd; d++ {
-				p *= bumpTabs[b][d].vals[idx[d]]
+			for d := 0; d < last; d++ {
+				p = float64(p * bumpTabs[b][d].vals[idx[d]])
 			}
-			g += p
+			pre[sp.modes+b] = p
 		}
-		raw[i] = g
-		sum += g
-		sumSq += g * g
+		for x, i := 0, row; x < rowLen; x, i = x+1, i+1 {
+			g := 0.0
+			for t, p := range pre {
+				g += float64(p * lastTabs[t][x])
+			}
+			raw[i] = g
+			sum += g
+			sumSq += float64(g * g)
+		}
 
-		// Advance the multi-dimensional index (row-major).
-		for d := nd - 1; d >= 0; d-- {
+		// Advance the row index (row-major) over the leading axes.
+		for d := last - 1; d >= 0; d-- {
 			idx[d]++
 			if idx[d] < dims[d] {
 				break
