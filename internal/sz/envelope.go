@@ -75,7 +75,9 @@ func readEnvelope(comp []byte, magic string, headLen int) (envelope, int, error)
 	}
 	e.errBound = math.Float64frombits(binary.LittleEndian.Uint64(comp[6:]))
 	e.capacity = int(binary.LittleEndian.Uint32(comp[14:]))
-	if !(e.errBound > 0) || e.capacity < 4 || e.capacity > 1<<22 {
+	// A non-finite bound is corrupt, as sz.Compress refuses to write one:
+	// an +Inf bound would otherwise decode every value to NaN.
+	if !(e.errBound > 0) || math.IsInf(e.errBound, 0) || e.capacity < 4 || e.capacity > 1<<22 {
 		return e, 0, ErrCorrupt
 	}
 	pos := headerBase

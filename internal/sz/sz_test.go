@@ -1,6 +1,7 @@
 package sz
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"slices"
@@ -267,6 +268,34 @@ func TestCorrupt64(t *testing.T) {
 	}
 	if _, _, err := Decompress(comp); err != ErrBadMagic {
 		t.Errorf("float64 stream as float32: %v", err)
+	}
+}
+
+// forgeInfBound returns comp with its envelope's error bound (bytes 6..14)
+// forged to +Inf.
+func forgeInfBound(comp []byte) []byte {
+	c := append([]byte(nil), comp...)
+	binary.LittleEndian.PutUint64(c[6:], math.Float64bits(math.Inf(1)))
+	return c
+}
+
+// TestForgedInfBound: a stream whose bound is forged to +Inf is corrupt, at
+// both widths. Without the check it decodes to NaN values with a nil error.
+func TestForgedInfBound(t *testing.T) {
+	data := gen2D(20, 20, 1)
+	c32, err := Compress(as[float32](data), []int{20, 20}, 1e-3, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Decompress(forgeInfBound(c32)); err != ErrCorrupt {
+		t.Errorf("float32 stream with a +Inf bound: got %v, want ErrCorrupt", err)
+	}
+	c64, err := CompressFloat64(data, []int{20, 20}, 1e-6, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := DecompressFloat64(forgeInfBound(c64)); err != ErrCorrupt {
+		t.Errorf("float64 stream with a +Inf bound: got %v, want ErrCorrupt", err)
 	}
 }
 
