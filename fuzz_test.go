@@ -190,11 +190,13 @@ func FuzzStreamPipeline(f *testing.F) {
 
 // FuzzCompressParallel cross-checks the work-stealing parallel compressor
 // against the serial encoder: on any input the two must emit byte-identical
-// streams at every worker count. The raw fuzz bytes are reinterpreted as
-// float32 and float64 values (so the mutator reaches NaN payloads, signed
-// zeros, subnormals, and adversarial exponent patterns for free), and the
-// engine's adaptive size gate is lowered so fuzz-sized inputs actually
-// exercise the chunked stealing and gather phases.
+// streams, or fail with the same error, at every worker count. The raw fuzz
+// bytes are reinterpreted as float32 and float64 values (so the mutator
+// reaches NaN payloads, signed zeros, subnormals, and adversarial exponent
+// patterns for free), and the engine's adaptive size gate is lowered so
+// fuzz-sized inputs actually exercise the chunked stealing and gather
+// phases. Bit 0x20 of sel selects a value-range-relative bound, which the
+// engine resolves from its own per-block stats phase.
 func FuzzCompressParallel(f *testing.F) {
 	seed := make([]byte, 4*300)
 	for i := 0; i < 300; i++ {
@@ -208,6 +210,18 @@ func FuzzCompressParallel(f *testing.F) {
 		weird[i] = byte(i * 37)
 	}
 	f.Add(weird, uint8(3))
+	f.Add(seed, uint8(0x20))
+	// A relative bound over data that opens with a NaN run longer than one
+	// 8-block chunk, at both widths (float32 NaN pairs read as float64 NaNs).
+	nanRun := make([]byte, 4*4096)
+	for i := 0; i < 4096; i++ {
+		v := float32(math.NaN())
+		if i >= 2100 {
+			v = float32(i%97) / 13
+		}
+		binary.LittleEndian.PutUint32(nanRun[4*i:], math.Float32bits(v))
+	}
+	f.Add(nanRun, uint8(0x20))
 	bounds := []float64{1e-2, 1e-4, 1e-7, 0.5}
 
 	f.Fuzz(func(t *testing.T, raw []byte, sel uint8) {
@@ -218,6 +232,9 @@ func FuzzCompressParallel(f *testing.F) {
 		opt := Options{ErrorBound: bounds[int(sel)%len(bounds)]}
 		if sel&0x10 != 0 {
 			opt.BlockSize = 64
+		}
+		if sel&0x20 != 0 {
+			opt.Mode = BoundRelative
 		}
 		workerCounts := []int{2, 3, runtime.GOMAXPROCS(0)}
 
@@ -230,8 +247,8 @@ func FuzzCompressParallel(f *testing.F) {
 			popt := opt
 			popt.Workers = w
 			par, perr := CompressInto[float32](nil, f32, popt)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("f32 w=%d: serial/parallel disagree on validity: %v vs %v", w, serr, perr)
+			if perr != serr {
+				t.Fatalf("f32 w=%d: serial/parallel disagree on the error: %v vs %v", w, serr, perr)
 			}
 			if serr == nil && !bytes.Equal(ser, par) {
 				t.Fatalf("f32 w=%d: parallel stream differs from serial (%d vs %d bytes)", w, len(ser), len(par))
@@ -244,9 +261,11 @@ func FuzzCompressParallel(f *testing.F) {
 		}
 		ser64, serr := CompressFloat64(f64, opt)
 		for _, w := range workerCounts {
-			par64, perr := core.CompressParallelInto[float64](nil, f64, opt.ErrorBound, core.Options{BlockSize: opt.BlockSize}, w)
-			if (serr == nil) != (perr == nil) {
-				t.Fatalf("f64 w=%d: serial/parallel disagree on validity: %v vs %v", w, serr, perr)
+			popt := opt
+			popt.Workers = w
+			par64, perr := CompressInto[float64](nil, f64, popt)
+			if perr != serr {
+				t.Fatalf("f64 w=%d: serial/parallel disagree on the error: %v vs %v", w, serr, perr)
 			}
 			if serr == nil && !bytes.Equal(ser64, par64) {
 				t.Fatalf("f64 w=%d: parallel stream differs from serial (%d vs %d bytes)", w, len(ser64), len(par64))

@@ -64,8 +64,10 @@ func appendCompressed[T Float, B Word](dst []byte, data []T, errBound float64, o
 			hi = len(data)
 		}
 		start := len(dst)
+		blk := data[lo:hi]
+		mu, radius, noNaN := blockStats(blk)
 		var constant bool
-		dst, constant = enc.encodeBlock(dst, data[lo:hi], scr)
+		dst, constant = enc.encodeBlock(dst, blk, mu, radius, noNaN, scr)
 		if !constant {
 			dst[bitmapOff+(k>>3)] |= 1 << uint(k&7)
 		} else {
@@ -119,7 +121,10 @@ func newBlockEncoder[T Float, B Word](errBound float64, guarded bool) blockEncod
 }
 
 // encodeBlock appends one block's payload to dst and reports whether the
-// block was constant. Nonconstant payload layout:
+// block was constant. mu, radius and noNaN are the block's blockStats: the
+// serial encoder takes them just before the call, and the parallel engine's
+// stats phase takes them for every block of a relative-bound call.
+// Nonconstant payload layout:
 //
 //	μ (4/8B LE) | reqLength (1B) | leading 2-bit array | mid-bytes
 //
@@ -128,8 +133,7 @@ func newBlockEncoder[T Float, B Word](errBound float64, guarded bool) blockEncod
 // its pointer arguments leak — loading the scratch out of the receiver
 // would leak the receiver's contents and force the owner's stack-allocated
 // tally to the heap, costing an allocation per compress call.
-func (enc *blockEncoder[T, B]) encodeBlock(dst []byte, blk []T, scr *kernels.Scratch) ([]byte, bool) {
-	mu, radius, noNaN := blockStats(blk)
+func (enc *blockEncoder[T, B]) encodeBlock(dst []byte, blk []T, mu T, radius float64, noNaN bool, scr *kernels.Scratch) ([]byte, bool) {
 	if radius <= enc.errBound && noNaN { // radius NaN also fails the test
 		if t := enc.tally; t != nil {
 			t.Constant++
@@ -158,8 +162,8 @@ func (enc *blockEncoder[T, B]) encodeBlock(dst []byte, blk []T, scr *kernels.Scr
 				}
 				t.Req[reqLen]++
 				// The packed 2-bit lead array sits right after μ and the
-				// reqLength byte; tallying from the packed form costs one
-				// table load per four values.
+				// reqLength byte; tallying from the packed form costs three
+				// popcounts per 32 values.
 				es := ieee.Width[T]()
 				t.CountPackedLeads(dst[start+es+1:start+es+1+bitio.PackedLen(len(blk))], len(blk))
 			}

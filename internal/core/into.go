@@ -44,9 +44,21 @@ func DecompressInto[T Float](dst []T, comp []byte) ([]T, error) {
 // CompressInto's for any worker count.
 func CompressParallelInto[T Float](dst []byte, data []T, errBound float64, opts Options, workers int) ([]byte, error) {
 	if ieee.Width[T]() == 4 {
-		return appendCompressedParallel[float32, uint32](dst, asF32(data), errBound, opts, workers)
+		return appendCompressedParallel[float32, uint32](dst, asF32(data), errBound, nil, opts, workers)
 	}
-	return appendCompressedParallel[float64, uint64](dst, asF64(data), errBound, opts, workers)
+	return appendCompressedParallel[float64, uint64](dst, asF64(data), errBound, nil, opts, workers)
+}
+
+// CompressRangeParallelInto is CompressParallelInto under the bound rb
+// resolves from data's value range. On the parallel engine the range is
+// the reduction of the per-block stats its first phase takes anyway, so
+// the data is scanned once; on the serial fallback ValueRange scans it
+// first. rb's error, if any, is returned before the block size's.
+func CompressRangeParallelInto[T Float](dst []byte, data []T, rb RangeBound, opts Options, workers int) ([]byte, error) {
+	if ieee.Width[T]() == 4 {
+		return appendCompressedParallel[float32, uint32](dst, asF32(data), 0, rb, opts, workers)
+	}
+	return appendCompressedParallel[float64, uint64](dst, asF64(data), 0, rb, opts, workers)
 }
 
 // DecompressParallelInto is DecompressInto with block-parallel decoding.

@@ -40,23 +40,36 @@ func dtypeOf[T Float]() DType {
 // the constant path may only be taken when noNaN holds (NaN blocks fall
 // through to the nonconstant path, whose guard escalates them to lossless).
 func blockStats[T Float](blk []T) (mu T, radius float64, noNaN bool) {
-	// The min/max/NaN scan is the dispatched Stats kernel (generic or
-	// vector, selected at init); only the μ and radius formulas live here.
-	var mn, mx T
+	mn, mx, noNaN := statsKernel(blk)
+	mu, radius = blockMid(mn, mx)
+	return mu, radius, noNaN
+}
+
+// statsKernel is the dispatched Stats kernel (generic or vector, selected
+// at init) for T: blk's running min and max under NaN-skipping compares,
+// seeded with blk[0] (so both are NaN when blk[0] is), and the no-NaN
+// verdict.
+func statsKernel[T Float](blk []T) (mn, mx T, noNaN bool) {
 	if ieee.Width[T]() == 4 {
 		m0, m1, nn := kernels.K32.Stats(asF32(blk))
-		mn, mx, noNaN = T(m0), T(m1), nn
+		return T(m0), T(m1), nn
+	}
+	m0, m1, nn := kernels.K64.Stats(asF64(blk))
+	return T(m0), T(m1), nn
+}
+
+// blockMid is blockStats' μ and radius from the block's min and max.
+func blockMid[T Float](mn, mx T) (mu T, radius float64) {
+	if ieee.Width[T]() == 4 {
 		mu = T(float32((float64(mn) + float64(mx)) / 2))
 	} else {
-		m0, m1, nn := kernels.K64.Stats(asF64(blk))
-		mn, mx, noNaN = T(m0), T(m1), nn
 		mu = mn/2 + mx/2
 	}
 	a := float64(mx) - float64(mu)
 	if b := float64(mu) - float64(mn); b > a {
 		a = b
 	}
-	return mu, a, noNaN
+	return mu, a
 }
 
 // asF32 / asF64 reinterpret a []T as the concrete element slice. They must

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"math"
-
-	"repro/internal/ieee"
-	"repro/internal/kernels"
-)
+import "math"
 
 // ValueRange returns the minimum and maximum of data's non-NaN values, the
 // range a value-range-relative bound (e_abs = ε·(max−min)) and the
@@ -26,10 +21,6 @@ func ValueRange[T Float](data []T) (mn, mx T) {
 	if i == len(data) {
 		return T(math.NaN()), T(math.NaN())
 	}
-	if ieee.Width[T]() == 4 {
-		a, b, _ := kernels.K32.Stats(asF32(data[i:]))
-		return T(a), T(b)
-	}
-	a, b, _ := kernels.K64.Stats(asF64(data[i:]))
-	return T(a), T(b)
+	mn, mx, _ = statsKernel(data[i:])
+	return mn, mx
 }

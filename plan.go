@@ -134,50 +134,74 @@ func ResolvePlan[T Float](data []T, opt Options) (Plan, error) {
 // scratch (nil = package pool), letting a warm Codec keep the whole search
 // allocation-free deterministically.
 func resolvePlan[T Float](data []T, opt Options, rs *ratioScratch) (Plan, error) {
-	if err := opt.validate(); err != nil {
+	p, err := newPlan(opt)
+	if err == nil {
+		err = resolveBound(&p, data, opt, rs)
+	}
+	if err != nil {
 		return Plan{}, err
-	}
-	p := Plan{
-		Bound:     opt.ErrorBound,
-		BlockSize: opt.BlockSize,
-		Workers:   coreWorkers(opt.Workers),
-		Unguarded: opt.Unguarded,
-	}
-	switch {
-	case opt.TargetRatio > 0:
-		if err := resolveRatio(&p, data, opt, rs); err != nil {
-			return Plan{}, err
-		}
-	case opt.Mode == BoundRelative:
-		b, err := relativeBound(data, opt)
-		if err != nil {
-			return Plan{}, err
-		}
-		p.Bound = b
 	}
 	return p, nil
 }
 
-// relativeBound converts a value-range-relative bound into the absolute
-// bound embedded in the stream. The range is that of the non-NaN values
-// (see core.ValueRange), taken in float64 for both element types; for
-// float64 inputs the conversions are identities.
-func relativeBound[T Float](data []T, o Options) (float64, error) {
-	if !(o.ErrorBound > 0) {
-		return 0, ErrErrBound
+// resolveBound resolves p.Bound (and the fixed-ratio trace) against data
+// for the validated options opt.
+func resolveBound[T Float](p *Plan, data []T, opt Options, rs *ratioScratch) error {
+	switch {
+	case opt.TargetRatio > 0:
+		return resolveRatio(p, data, opt, rs)
+	case opt.Mode == BoundRelative:
+		if err := checkRelative(len(data), opt); err != nil {
+			return err
+		}
+		mn, mx := core.ValueRange(data)
+		b, err := relativeBound(opt.ErrorBound, float64(mn), float64(mx))
+		p.Bound = b
+		return err
 	}
-	if len(data) == 0 {
-		return 0, ErrDegenerateRange
+	return nil
+}
+
+// newPlan validates opt and returns its plan before any bound is resolved
+// against data: Bound is opt.ErrorBound.
+func newPlan(opt Options) (Plan, error) {
+	if err := opt.validate(); err != nil {
+		return Plan{}, err
+	}
+	return Plan{
+		Bound:     opt.ErrorBound,
+		BlockSize: opt.BlockSize,
+		Workers:   coreWorkers(opt.Workers),
+		Unguarded: opt.Unguarded,
+	}, nil
+}
+
+// checkRelative returns the errors a value-range-relative bound fails with
+// before its range is scanned, and counts the resolve.
+func checkRelative(n int, o Options) error {
+	if !(o.ErrorBound > 0) {
+		return ErrErrBound
+	}
+	if n == 0 {
+		return ErrDegenerateRange
 	}
 	if telemetry.Enabled() {
 		telemetry.RelativeBoundResolves.Inc()
 	}
-	mn, mx := core.ValueRange(data)
-	r := float64(mx) - float64(mn)
+	return nil
+}
+
+// relativeBound converts a value-range-relative bound eps into the absolute
+// bound embedded in the stream. [mn, mx] is the range of the data's
+// non-NaN values (see core.ValueRange), taken in float64 for both element
+// types; for float64 inputs the conversions are identities. Both are NaN
+// when the data holds no non-NaN value.
+func relativeBound(eps, mn, mx float64) (float64, error) {
+	r := mx - mn
 	if !(r > 0) || math.IsInf(r, 0) {
 		return 0, ErrDegenerateRange
 	}
-	return o.ErrorBound * r, nil
+	return eps * r, nil
 }
 
 // --- fixed-ratio search ----------------------------------------------------

@@ -183,22 +183,41 @@ func CompressInto[T Float](dst []byte, data []T, opt Options) ([]byte, error) {
 // compressInto is CompressInto with an optional caller-owned fixed-ratio
 // probe scratch (nil = package pool); Codec passes its own for
 // deterministic zero-allocation reuse.
+//
+// Plan resolution is recorded as the "resolve_plan" span: bound validation,
+// the relative-bound range scan, and the whole fixed-ratio search (probes
+// included) — for a TargetRatio request this span is where the latency
+// hides. A relative bound on more than one worker resolves inside the
+// parallel engine, whose first phase takes every block's stats and reduces
+// their ranges; the span then ends once the bound is resolved from them.
 func compressInto[T Float](dst []byte, data []T, opt Options, rs *ratioScratch) ([]byte, error) {
 	var t0 time.Time
 	if opt.Spans != nil {
 		t0 = time.Now()
 	}
-	p, err := resolvePlan(data, opt, rs)
+	p, err := newPlan(opt)
 	if err != nil {
 		return nil, err
 	}
 	co := p.coreOpts()
+	co.Spans = opt.Spans
+	if opt.Mode == BoundRelative && p.Workers > 1 {
+		if err := checkRelative(len(data), opt); err != nil {
+			return nil, err
+		}
+		return core.CompressRangeParallelInto(dst, data, func(mn, mx float64) (float64, error) {
+			b, err := relativeBound(opt.ErrorBound, mn, mx)
+			if err == nil && opt.Spans != nil {
+				opt.Spans.RecordSpan("resolve_plan", t0, time.Now())
+			}
+			return b, err
+		}, co, p.Workers)
+	}
+	if err := resolveBound(&p, data, opt, rs); err != nil {
+		return nil, err
+	}
 	if opt.Spans != nil {
-		// Plan resolution covers bound validation, the relative-bound range
-		// scan, and the whole fixed-ratio search (probes included) — for a
-		// TargetRatio request this span is where the latency hides.
 		opt.Spans.RecordSpan("resolve_plan", t0, time.Now())
-		co.Spans = opt.Spans
 	}
 	if p.Workers > 1 {
 		return core.CompressParallelInto(dst, data, p.Bound, co, p.Workers)
