@@ -277,32 +277,41 @@ func FuzzCompressParallel(f *testing.F) {
 // FuzzDecompressParallel drives the sharded decoders with arbitrary bytes.
 // The parallel path trusts the zsize prefix sum to slice payloads per
 // worker, so corrupted or truncated size tables are exactly where it could
-// over-read; it must instead fail cleanly and, on valid streams, agree
-// bitwise with the serial decoder.
+// over-read; it must instead fail with the serial decoder's error and, on
+// valid streams, agree bitwise with it. The engine's size gate is lowered
+// so that fuzz-sized streams of two chunks or more reach the engine.
 func FuzzDecompressParallel(f *testing.F) {
 	comp, _ := Compress(testField(1000, 4), Options{ErrorBound: 1e-3})
 	f.Add(comp, 4)
+	multi, _ := Compress(testField(5000, 5), Options{ErrorBound: 1e-4})
+	f.Add(multi, 3)
 	data64 := make([]float64, 700)
 	for i := range data64 {
 		data64[i] = float64(i%97) / 13
 	}
 	comp64, _ := CompressFloat64(data64, Options{ErrorBound: 1e-6})
 	f.Add(comp64, 3)
-	if len(comp) > 40 {
-		trunc := append([]byte(nil), comp[:len(comp)-7]...)
-		f.Add(trunc, 2)
-		bad := append([]byte(nil), comp...)
-		bad[30] ^= 0xFF // flip bits inside the zsize table
-		f.Add(bad, 8)
+	for _, c := range [][]byte{comp, multi} {
+		if len(c) > 40 {
+			trunc := append([]byte(nil), c[:len(c)-7]...)
+			f.Add(trunc, 2)
+			bad := append([]byte(nil), c...)
+			bad[30] ^= 0xFF // flip bits inside the zsize table
+			f.Add(bad, 8)
+		}
 	}
 	f.Add([]byte("SZX1\x01\x00\x00\x00\x80\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff"), 5)
 	f.Add([]byte{}, 0)
 	f.Fuzz(func(t *testing.T, blob []byte, workers int) {
+		oldMin := core.ParallelMinBytes
+		core.ParallelMinBytes = 0
+		defer func() { core.ParallelMinBytes = oldMin }()
+
 		workers = workers%16 + 1
 		par, perr := DecompressParallel(blob, workers)
 		ser, serr := Decompress(blob)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("f32 serial/parallel disagree on validity: serial=%v parallel=%v", serr, perr)
+		if perr != serr {
+			t.Fatalf("f32 serial/parallel disagree on the error: serial=%v parallel=%v", serr, perr)
 		}
 		if perr == nil {
 			if len(par) != len(ser) {
@@ -316,8 +325,8 @@ func FuzzDecompressParallel(f *testing.F) {
 		}
 		par64, perr := DecompressFloat64Parallel(blob, workers)
 		ser64, serr := DecompressFloat64(blob)
-		if (perr == nil) != (serr == nil) {
-			t.Fatalf("f64 serial/parallel disagree on validity: serial=%v parallel=%v", serr, perr)
+		if perr != serr {
+			t.Fatalf("f64 serial/parallel disagree on the error: serial=%v parallel=%v", serr, perr)
 		}
 		if perr == nil {
 			if len(par64) != len(ser64) {

@@ -76,5 +76,19 @@ func FuzzDecompressRange(f *testing.F) {
 		if err == nil && len(out) != hi-lo {
 			t.Fatalf("range decode returned %d values for [%d,%d)", len(out), lo, hi)
 		}
+		// A range of a stream that decodes whole must decode, to exactly
+		// the whole decode's values there.
+		full, ferr := DecompressFloat32(comp)
+		if ferr != nil || lo < 0 || lo > hi || hi > len(full) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("full decode ok but range [%d,%d) failed: %v", lo, hi, err)
+		}
+		for i, v := range out {
+			if math.Float32bits(v) != math.Float32bits(full[lo+i]) {
+				t.Fatalf("range [%d,%d): value %d differs from the full decode", lo, hi, lo+i)
+			}
+		}
 	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 	"runtime"
 	"slices"
@@ -161,54 +160,41 @@ func (f *fan) run(id int) {
 	f.wg.Done()
 }
 
-// --- pooled scratch --------------------------------------------------------
+// --- pooled per-call state -------------------------------------------------
 
-// shardScratch is one participant's private compression output, pooled
-// across calls so that steady-state parallel compression reuses warm buffers
-// instead of allocating per call. payload/sizes/bitmap are appended to as
-// the participant claims chunks; chunkMeta records where each chunk landed.
-// scr and tally are the participant's kernel scratch and block tally for
-// the encode phase.
-type shardScratch struct {
-	payload []byte
-	sizes   []uint16
-	bitmap  []bool
-	scr     *kernels.Scratch
-	tally   telemetry.BlockTally
-}
-
-var shardPool = sync.Pool{New: func() any { return new(shardScratch) }}
-
-func getShardScratch(nblocks, payloadHint int) *shardScratch {
-	o := shardPool.Get().(*shardScratch)
-	o.payload = slices.Grow(o.payload[:0], payloadHint)
-	o.sizes = slices.Grow(o.sizes[:0], nblocks)
-	o.bitmap = slices.Grow(o.bitmap[:0], nblocks)
-	o.scr = kernels.GetScratch()
-	o.tally = telemetry.BlockTally{}
-	return o
-}
-
-// chunkMeta records where one chunk's encoded output lives before the
-// parallel gather copies it to its final offset.
-type chunkMeta struct {
-	scratch  int // index of the participant scratch holding the bytes
-	off      int // chunk payload offset within that scratch's payload
-	size     int // chunk payload length in bytes
-	sizesOff int // index of the chunk's first block in sizes/bitmap
-	dstOff   int // final offset within the output payload section
-}
-
-// parJob holds the per-call bookkeeping of the engines, pooled so the
-// parallel paths allocate only their per-item closures per call. stats and
-// ranges are the compressor's stats phase: one entry per block and one
-// slot per participant, used only when the bound depends on the range.
+// parJob holds the per-call state of an engaged call, pooled so that a warm
+// call allocates only the closures it hands to fanOut. metas has one entry
+// per chunk; shards and errs have one per participant. stats and ranges are
+// the compressor's stats phase: one entry per block and one slot per
+// participant, used only when the bound depends on the range.
 type parJob struct {
 	metas  []chunkMeta
-	outs   []*shardScratch
+	shards []shardScratch
 	errs   []error
 	stats  []blockStat
 	ranges []valueRange
+}
+
+// shardScratch is one participant's private compression output: the
+// payloads of the chunks it claims, in claim order, and its kernel scratch,
+// block tally and block counts for the encode phase. It lives in the pooled
+// parJob, so a warm call reuses its payload buffer.
+type shardScratch struct {
+	payload []byte
+	scr     *kernels.Scratch
+	tally   telemetry.BlockTally
+	blockCounts
+}
+
+// chunkMeta records one chunk's payload. The compressor's encode phase
+// notes where the payload landed in its participant's scratch, and the
+// gather copies it to dstOff. The decompressor notes only the chunk's
+// first payload offset in the stream, in off.
+type chunkMeta struct {
+	scratch int // index of the participant scratch holding the bytes
+	off     int // payload offset within that scratch, or within the stream
+	size    int // chunk payload length in bytes
+	dstOff  int // final offset within the output payload section
 }
 
 // blockStat is one block's blockStats, taken by the stats phase for the
@@ -262,15 +248,10 @@ var parJobPool = sync.Pool{New: func() any { return new(parJob) }}
 func getParJob(nchunks, participants int) *parJob {
 	j := parJobPool.Get().(*parJob)
 	j.metas = slices.Grow(j.metas[:0], nchunks)[:nchunks]
-	j.outs = slices.Grow(j.outs[:0], participants)[:participants]
+	j.shards = slices.Grow(j.shards[:0], participants)[:participants]
 	j.errs = slices.Grow(j.errs[:0], participants)[:participants]
 	clear(j.errs)
 	return j
-}
-
-func putParJob(j *parJob) {
-	clear(j.outs)
-	parJobPool.Put(j)
 }
 
 // chunkBlocks picks the work-stealing granularity: a multiple of 8 blocks
@@ -287,131 +268,41 @@ func chunkBlocks(nb, workers int) int {
 	return c
 }
 
-// offsPool recycles the block-offset prefix-sum arrays used by the parallel
-// and random-access decompressors.
-var offsPool = sync.Pool{New: func() any { return new([]int) }}
-
-// blockOffsetsPooled is Index.BlockOffsets backed by a pooled array; callers
-// must return the slice via putOffs when done.
-func blockOffsetsPooled(si Index) ([]int, error) {
-	nb := si.Hdr.NumBlocks()
-	p := offsPool.Get().(*[]int)
-	offs := *p
-	if cap(offs) < nb+1 {
-		offs = make([]int, nb+1)
-	} else {
-		offs = offs[:nb+1]
-	}
-	*p = offs
-	sum := 0
-	for k := 0; k < nb; k++ {
-		offs[k] = sum
-		sum += si.BlockSizeBytes(k)
-	}
-	offs[nb] = sum
-	if sum > len(si.Payload) {
-		putOffs(p)
-		return nil, ErrCorrupt
-	}
-	return offs, nil
+// split is the engine's one decision over a call's nb blocks and
+// workBytes bytes of work: its chunk size in blocks, the chunk count, and
+// the participants Participants grants workers over those chunks.
+func split(nb, workers, workBytes int) (chunk, nchunks, participants int) {
+	chunk = chunkBlocks(nb, Workers(workers))
+	nchunks = (nb + chunk - 1) / chunk
+	return chunk, nchunks, Participants(workers, nchunks, workBytes)
 }
-
-func putOffs(p *[]int) { offsPool.Put(p) }
 
 // RangeBound resolves a compression's absolute error bound from the range
 // [mn, mx] of the data's non-NaN values, both NaN when the data holds none
 // (the pair ValueRange returns). An error aborts the compression.
 type RangeBound func(mn, mx float64) (float64, error)
 
-// rangeBoundOf resolves rb from a serial ValueRange scan of data.
-func rangeBoundOf[T Float](data []T, rb RangeBound) (float64, error) {
-	mn, mx := ValueRange(data)
-	return rb(float64(mn), float64(mx))
-}
+// encodePhases runs the compressor's encode and gather phases on j's
+// participants. dst holds the stream's header and zeroed index. Each
+// participant appends the payloads of the chunks it claims to its scratch
+// and writes their index entries into dst in place; then dst grows once to
+// the exact size, and the gather copies each chunk's payload to its final
+// offset. stats is the stats phase's table, or nil. It returns the stream
+// and the blocks' counts.
+func encodePhases[T Float, B Word](j *parJob, dst []byte, data []T, stats []blockStat, enc blockEncoder[T, B], chunk int, sink telemetry.SpanSink, rec bool) ([]byte, blockCounts) {
+	nb := (len(data) + enc.bs - 1) / enc.bs
+	nchunks, participants := len(j.metas), len(j.shards)
+	for id := range j.shards {
+		o := &j.shards[id]
+		o.payload = slices.Grow(o.payload[:0], ieee.Width[T]()*len(data)/(2*participants))
+		o.scr = kernels.GetScratch()
+		o.tally = telemetry.BlockTally{}
+		o.blockCounts = blockCounts{}
+	}
+	// The closure takes the index by value: capturing dst, which grows
+	// below, would move it to the heap.
+	ix := dst
 
-// appendCompressedParallel is appendCompressed with block-parallel encoding,
-// the analogue of the paper's OpenMP compressor (§6.1): blocks are
-// independent, so workers compress them into private buffers and the results
-// are stitched in block order (the scheduling therefore never affects the
-// output bytes).
-//
-// The bound is errBound, or, when rb is set, rb of data's value range (a
-// value-range-relative bound); its errors come before the block size's.
-//
-// The engine is adaptive and has up to three phases. When Participants
-// says one, the input is encoded serially on the caller (after a serial
-// ValueRange scan when rb is set). Otherwise the block range is cut into
-// chunks (a multiple of 8 blocks) that fanOut's participants claim off its
-// cursor. With rb set, a stats phase runs first: it takes every block's
-// blockStats into a table and reduces the blocks' ranges, and rb resolves
-// the bound from that reduction, so the data is scanned once rather than
-// twice. Then the encode phase: each participant encodes the chunks it
-// claims into a private scratch, taking each block's stats from the table
-// when there is one. After that barrier the chunk offsets are prefix-summed
-// and a gather fan-out copies each chunk's payload into the final buffer at
-// its exact offset and fills its bitmap and zsize entries, so the
-// concatenation is parallel disjoint copies rather than one serial memcpy.
-func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound float64, rb RangeBound, opts Options, workers int) ([]byte, error) {
-	bs, err := opts.blockSize()
-	if err != nil {
-		if rb != nil {
-			if _, rerr := rangeBoundOf(data, rb); rerr != nil {
-				return nil, rerr
-			}
-		}
-		return nil, err
-	}
-	es := ieee.Width[T]()
-	nb := (len(data) + bs - 1) / bs
-	w := Workers(workers)
-	chunk := chunkBlocks(nb, w)
-	nchunks := (nb + chunk - 1) / chunk
-	participants := Participants(w, nchunks, es*len(data))
-	rec := telemetry.Enabled()
-	var tm telemetry.Timer
-	if rec && participants > 1 {
-		tm = telemetry.Start()
-	}
-	var j *parJob
-	if participants > 1 {
-		j = getParJob(nchunks, participants)
-	}
-	if rb != nil {
-		if participants == 1 {
-			errBound, err = rangeBoundOf(data, rb)
-		} else {
-			errBound, err = rb(statsPhase[T, B](j, data, bs, chunk, participants))
-		}
-	}
-	if err == nil && (!(errBound > 0) || math.IsInf(errBound, 0)) {
-		err = ErrErrBound
-	}
-	if err != nil {
-		if j != nil {
-			putParJob(j)
-		}
-		return nil, err
-	}
-	if participants == 1 {
-		if rec {
-			telemetry.EngineCompressFallback.Inc()
-		}
-		out, _, err := appendCompressed[T, B](dst, data, errBound, opts)
-		return out, err
-	}
-	if rec {
-		telemetry.EngineCompressParallel.Inc()
-	}
-	h := Header{Type: dtypeOf[T](), BlockSize: bs, N: len(data), ErrBound: errBound}
-	dstBase := len(dst)
-
-	for id := range j.outs {
-		j.outs[id] = getShardScratch(nb/participants+chunk, es*len(data)/(2*participants))
-	}
-
-	// Encode. Each participant appends the payload of the chunks it claims
-	// to its private scratch.
-	sink := opts.Spans
 	var phase telemetry.Timer
 	var phaseT0 time.Time
 	if rec {
@@ -420,45 +311,27 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	if sink != nil {
 		phaseT0 = time.Now()
 	}
-	var stats []blockStat
-	if rb != nil {
-		stats = j.stats
-	}
 	fanOut("encode", nchunks, participants, true, func(id, c int) {
-		o := j.outs[id]
-		enc := newBlockEncoder[T, B](errBound, !opts.Unguarded)
+		o := &j.shards[id]
+		e := enc
 		if rec {
-			enc.tally = &o.tally
+			e.tally = &o.tally
 		}
 		m := &j.metas[c]
-		m.scratch = id
-		m.off = len(o.payload)
-		m.sizesOff = len(o.sizes)
-		for k := c * chunk; k < min((c+1)*chunk, nb); k++ {
-			blk := data[k*bs : min((k+1)*bs, len(data))]
-			var mu T
-			var radius float64
-			var noNaN bool
-			if stats != nil {
-				st := &stats[k]
-				mu, radius, noNaN = ieee.FromBits[T](B(st.mu)), st.radius, st.noNaN
-			} else {
-				mu, radius, noNaN = blockStats(blk)
-			}
-			start := len(o.payload)
-			var constant bool
-			o.payload, constant = enc.encodeBlock(o.payload, blk, mu, radius, noNaN, o.scr)
-			o.sizes = append(o.sizes, uint16(len(o.payload)-start))
-			o.bitmap = append(o.bitmap, !constant)
-		}
+		m.scratch, m.off = id, len(o.payload)
+		o.payload = e.encodeBlocks(o.payload, ix, data, c*chunk, min((c+1)*chunk, nb), stats, o.scr)
 		m.size = len(o.payload) - m.off
+		o.blockCounts.add(e.blockCounts)
 	})
-	for _, o := range j.outs {
+	var counts blockCounts
+	for id := range j.shards {
+		o := &j.shards[id]
 		kernels.PutScratch(o.scr)
 		o.scr = nil
 		if rec {
 			o.tally.Flush()
 		}
+		counts.add(o.blockCounts)
 	}
 	if rec {
 		phase.Stop(&telemetry.EncodePhaseDurations)
@@ -467,25 +340,15 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 		sink.RecordSpan("encode_phase", phaseT0, time.Now())
 	}
 
-	// Prefix-sum the chunk offsets and lay out the container.
+	// Prefix-sum the chunk offsets, then gather. The encode phase already
+	// counted this call's participants and claims.
 	total := 0
 	for c := range j.metas {
 		j.metas[c].dstOff = total
 		total += j.metas[c].size
 	}
-	dst = slices.Grow(dst, headerSize+(nb+7)/8+2*nb+total)
-	out := AppendHeader(dst, h)
-	bitmapOff := len(out)
-	out = appendZeros(out, (nb+7)/8)
-	zsizeOff := len(out)
-	out = appendZeros(out, 2*nb)
-	payloadOff := len(out)
-	out = out[:payloadOff+total]
-
-	// Gather. Each chunk's payload goes to its final offset, with
-	// its zsize entries and bitmap bytes (disjoint per chunk: chunk is a
-	// multiple of 8 blocks, so no two chunks share a bitmap byte). The
-	// encode phase already counted this call's participants and claims.
+	payloadOff := len(dst)
+	out := slices.Grow(dst, total)[:payloadOff+total]
 	if rec {
 		phase = telemetry.Start()
 	}
@@ -494,16 +357,7 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	}
 	fanOut("gather", nchunks, participants, false, func(_, c int) {
 		m := &j.metas[c]
-		o := j.outs[m.scratch]
-		copy(out[payloadOff+m.dstOff:], o.payload[m.off:m.off+m.size])
-		lo := c * chunk
-		for k := lo; k < min(lo+chunk, nb); k++ {
-			i := m.sizesOff + (k - lo)
-			binary.LittleEndian.PutUint16(out[zsizeOff+2*k:], o.sizes[i])
-			if o.bitmap[i] {
-				out[bitmapOff+(k>>3)] |= 1 << uint(k&7)
-			}
-		}
+		copy(out[payloadOff+m.dstOff:], j.shards[m.scratch].payload[m.off:m.off+m.size])
 	})
 	if rec {
 		phase.Stop(&telemetry.GatherPhaseDurations)
@@ -511,15 +365,7 @@ func appendCompressedParallel[T Float, B Word](dst []byte, data []T, errBound fl
 	if sink != nil {
 		sink.RecordSpan("gather_phase", phaseT0, time.Now())
 	}
-
-	for _, o := range j.outs {
-		shardPool.Put(o)
-	}
-	putParJob(j)
-	if rec {
-		telemetry.RecordCompress(es*len(data), len(out)-dstBase, tm.Elapsed())
-	}
-	return out, nil
+	return out, counts
 }
 
 // statsPhase is the compressor's first phase for a range-resolved bound.
@@ -563,82 +409,15 @@ func statsPhase[T Float, B Word](j *parJob, data []T, bs, chunk, participants in
 	return all.bounds()
 }
 
-// appendDecompressedParallel decompresses block-parallel: a prefix sum over
-// the embedded zsize array gives every worker the byte offset of its blocks
-// (the paper's prefix-sum step in Fig. 10). It decides and fans out like
-// the compressor, keyed on output bytes; when Participants says one, the
-// stream decodes serially on the caller.
-func appendDecompressedParallel[T Float, B Word](dst []T, comp []byte, workers int) ([]T, error) {
-	si, err := ParseStream(comp)
-	if err != nil {
-		return nil, err
-	}
-	if si.Hdr.Type != dtypeOf[T]() {
-		return nil, ErrWrongType
-	}
-	nb := si.Hdr.NumBlocks()
-	es := ieee.Width[T]()
-	w := Workers(workers)
-	chunk := chunkBlocks(nb, w)
-	nchunks := (nb + chunk - 1) / chunk
-	participants := Participants(w, nchunks, es*si.Hdr.N)
-	rec := telemetry.Enabled()
-	if participants == 1 {
-		if rec {
-			telemetry.EngineDecompressFallback.Inc()
-		}
-		return appendDecompressed[T, B](dst, comp)
-	}
-	var tm telemetry.Timer
-	if rec {
-		tm = telemetry.Start()
-		telemetry.EngineDecompressParallel.Inc()
-	}
-	offs, err := blockOffsetsPooled(si)
-	if err != nil {
-		return nil, err
-	}
-	defer putOffs(&offs)
-	base := len(dst)
-	dst = slices.Grow(dst, si.Hdr.N)[:base+si.Hdr.N]
-	out := dst[base:]
-	bs := si.Hdr.BlockSize
-
-	j := getParJob(0, participants)
-	fanOut("decode", nchunks, participants, true, func(id, c int) {
-		for k := c * chunk; k < min((c+1)*chunk, nb); k++ {
-			blk := out[k*bs : min((k+1)*bs, len(out))]
-			if err := decodeBlock[T, B](si.Payload[offs[k]:offs[k+1]], si.IsNonConstant(k), blk); err != nil {
-				j.errs[id] = err
-				return
-			}
-		}
-	})
-	for _, e := range j.errs {
-		if e != nil {
-			err = e
-			break
-		}
-	}
-	putParJob(j)
-	if err != nil {
-		return nil, err
-	}
-	if rec {
-		recordDecodedBlocks(si)
-		telemetry.RecordDecompress(len(comp), es*si.Hdr.N, tm.Elapsed())
-	}
-	return dst, nil
-}
-
 // --- exported wrappers (historical per-type API) ---------------------------
 
 // CompressFloat32Parallel is CompressFloat32 with block-parallel encoding.
 func CompressFloat32Parallel(data []float32, errBound float64, opts Options, workers int) ([]byte, error) {
-	return appendCompressedParallel[float32, uint32](nil, data, errBound, nil, opts, workers)
+	out, _, err := appendCompressed[float32, uint32](nil, data, errBound, nil, opts, workers)
+	return out, err
 }
 
 // DecompressFloat32Parallel is DecompressFloat32 with block-parallel decoding.
 func DecompressFloat32Parallel(comp []byte, workers int) ([]float32, error) {
-	return appendDecompressedParallel[float32, uint32](nil, comp, workers)
+	return appendDecompressed[float32, uint32](nil, comp, workers)
 }

@@ -8,10 +8,10 @@ package core
 // decompresses only the amplitude slabs it needs.
 
 // decompressRange reconstructs values [lo, hi) from a stream, decoding only
-// the blocks that overlap the range. The cost is O(numBlocks) for the offset
-// prefix sum plus the overlapped blocks' payloads. Interior blocks decode
-// straight into the output; only the (at most two) partially-overlapped edge
-// blocks go through a scratch buffer.
+// the blocks that overlap the range. The cost is one pass over the zsize
+// table, which gives the first overlapped block's payload offset and checks
+// the total against the payload, plus the overlapped blocks' payloads. The
+// blocks decode whole into one buffer, and the range is returned from it.
 func decompressRange[T Float, B Word](comp []byte, lo, hi int) ([]T, error) {
 	si, err := ParseStream(comp)
 	if err != nil {
@@ -26,44 +26,18 @@ func decompressRange[T Float, B Word](comp []byte, lo, hi int) ([]T, error) {
 	if lo == hi {
 		return []T{}, nil
 	}
-	offs, err := blockOffsetsPooled(si)
-	if err != nil {
+	bs := si.Hdr.BlockSize
+	k0, k1 := lo/bs, (hi-1)/bs+1
+	off := payloadBytes(si, 0, k0)
+	if off+payloadBytes(si, k0, si.Hdr.NumBlocks()) > len(si.Payload) {
+		return nil, ErrCorrupt
+	}
+	base := k0 * bs
+	out := make([]T, min(k1*bs, si.Hdr.N)-base)
+	if err := decodeBlocks[T, B](si, out, k0, k1, off); err != nil {
 		return nil, err
 	}
-	defer putOffs(&offs)
-	bs := si.Hdr.BlockSize
-	firstBlk := lo / bs
-	lastBlk := (hi - 1) / bs
-
-	out := make([]T, hi-lo)
-	var scratch []T
-	for k := firstBlk; k <= lastBlk; k++ {
-		blo := k * bs
-		bhi := blo + bs
-		if bhi > si.Hdr.N {
-			bhi = si.Hdr.N
-		}
-		interior := blo >= lo && bhi <= hi
-		var dst []T
-		if interior {
-			dst = out[blo-lo : bhi-lo]
-		} else {
-			// Edge block: decode into scratch, then copy the overlap.
-			if scratch == nil {
-				scratch = make([]T, bs)
-			}
-			dst = scratch[:bhi-blo]
-		}
-		if err := decodeBlock[T, B](si.Payload[offs[k]:offs[k+1]], si.IsNonConstant(k), dst); err != nil {
-			return nil, err
-		}
-		if !interior {
-			from := max(lo, blo)
-			to := min(hi, bhi)
-			copy(out[from-lo:to-lo], dst[from-blo:to-blo])
-		}
-	}
-	return out, nil
+	return out[lo-base : hi-base : hi-base], nil
 }
 
 // DecompressFloat32Range reconstructs values [lo, hi) from a float32 stream.

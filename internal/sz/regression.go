@@ -48,24 +48,26 @@ func regBlockEdge(ndims int) int {
 	}
 }
 
-// blockIter walks the block grid in row-major order, yielding the origin
-// and extent of each block. dims is padded conceptually; extents are
-// clipped at the edges.
-func blockIter(dims []int, edge int, visit func(origin, ext []int)) {
+// blockIter walks the block grid in row-major order, yielding the field
+// offset of each block's origin (under the strides str) and its extent.
+// Extents are clipped at the edges.
+func blockIter(dims, str []int, edge int, visit func(base int, ext []int)) {
 	nd := len(dims)
 	origin := make([]int, nd)
 	ext := make([]int, nd)
 	var rec func(axis int)
 	rec = func(axis int) {
 		if axis == nd {
+			base := 0
 			for d := 0; d < nd; d++ {
 				e := edge
 				if origin[d]+e > dims[d] {
 					e = dims[d] - origin[d]
 				}
 				ext[d] = e
+				base += origin[d] * str[d]
 			}
-			visit(origin, ext)
+			visit(base, ext)
 			return
 		}
 		for origin[axis] = 0; origin[axis] < dims[axis]; origin[axis] += edge {
@@ -74,6 +76,60 @@ func blockIter(dims []int, edge int, visit func(origin, ext []int)) {
 		origin[axis] = 0
 	}
 	rec(0)
+}
+
+// walkBlock is the one in-block walk: it calls visit(off, idx) for every
+// cell of the block at base with extent ext, in row-major order, where idx
+// is the cell's in-block coordinate and off = base + Σ idx[d]·str[d] its
+// offset in the field. The walk stops when visit returns false.
+func walkBlock(str []int, base int, ext []int, visit func(off int, idx []int) bool) {
+	nd := len(ext)
+	idx := make([]int, nd)
+	for {
+		off := base
+		for d := 0; d < nd; d++ {
+			off += idx[d] * str[d]
+		}
+		if !visit(off, idx) {
+			return
+		}
+		d := nd - 1
+		for ; d >= 0; d-- {
+			idx[d]++
+			if idx[d] < ext[d] {
+				break
+			}
+			idx[d] = 0
+		}
+		if d < 0 {
+			return
+		}
+	}
+}
+
+// lorenzoPredict is the block-local Lorenzo prediction at in-block
+// coordinate idx of the block at base: the signed sum, in deltas' order, of
+// the neighbours' values in vals, with zeros outside the block.
+func lorenzoPredict(vals []float32, str []int, base int, idx []int, deltas []lorenzoDelta) float64 {
+	var pred float64
+	for _, dl := range deltas {
+		pred += float64(dl.sign) * neighbour(vals, str, base, idx, dl.off)
+	}
+	return pred
+}
+
+// neighbour is vals at in-block coordinate idx+delta of the block at base,
+// or 0 when that lies before the block's origin on some axis.
+func neighbour(vals []float32, str []int, base int, idx, delta []int) float64 {
+	off := base
+	for d := range idx {
+		x := idx[d] + delta[d]
+		if x < 0 {
+			return 0
+		}
+		off += x * str[d]
+	}
+	return float64(vals[off])
 }
 
 // strides returns row-major strides for dims.
@@ -111,30 +167,14 @@ func fitPlane(data []float32, str []int, base int, ext []int) []float32 {
 		den[d] = s * float64(n) / float64(ext[d])
 	}
 	var sum float64
-	idx := make([]int, nd)
-	for {
-		off := base
-		for d := 0; d < nd; d++ {
-			off += idx[d] * str[d]
-		}
+	walkBlock(str, base, ext, func(off int, idx []int) bool {
 		v := float64(data[off])
 		sum += v
 		for d := 0; d < nd; d++ {
 			num[d] += v * (float64(idx[d]) - mean[d])
 		}
-		// Advance.
-		d := nd - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < ext[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
-	}
+		return true
+	})
 	coeff := make([]float32, nd+1)
 	c0 := sum / float64(n)
 	for d := 0; d < nd; d++ {
@@ -161,45 +201,13 @@ func planeAt(coeff []float32, idx []int) float64 {
 // block (regression vs block-local Lorenzo on the original data), the
 // per-block selection criterion of SZ 2.1.
 func blockSAE(data []float32, str []int, base int, ext []int, coeff []float32) (saeReg, saeLor float64) {
-	nd := len(ext)
-	idx := make([]int, nd)
-	at := func(delta []int) float64 {
-		off := base
-		for d := 0; d < nd; d++ {
-			x := idx[d] + delta[d]
-			if x < 0 {
-				return 0
-			}
-			off += x * str[d]
-		}
-		return float64(data[off])
-	}
-	deltas := lorenzoDeltas(nd)
-	for {
-		off := base
-		for d := 0; d < nd; d++ {
-			off += idx[d] * str[d]
-		}
+	deltas := lorenzoDeltas(len(ext))
+	walkBlock(str, base, ext, func(off int, idx []int) bool {
 		v := float64(data[off])
 		saeReg += math.Abs(v - planeAt(coeff, idx))
-		var pred float64
-		for _, dl := range deltas {
-			pred += float64(dl.sign) * at(dl.off)
-		}
-		saeLor += math.Abs(v - pred)
-
-		d := nd - 1
-		for ; d >= 0; d-- {
-			idx[d]++
-			if idx[d] < ext[d] {
-				break
-			}
-			idx[d] = 0
-		}
-		if d < 0 {
-			break
-		}
-	}
+		saeLor += math.Abs(v - lorenzoPredict(data, str, base, idx, deltas))
+		return true
+	})
 	return saeReg, saeLor
 }
 
@@ -247,11 +255,7 @@ func compressRegression(data []float32, dims []int, errBound float64, capacity i
 	recon := make([]float32, len(data))
 	blockCount := 0
 
-	blockIter(dims, edge, func(origin, ext []int) {
-		base := 0
-		for d := 0; d < nd; d++ {
-			base += origin[d] * str[d]
-		}
+	blockIter(dims, str, edge, func(base int, ext []int) {
 		coeff := fitPlane(data, str, base, ext)
 		useReg := true
 		if auto {
@@ -267,30 +271,12 @@ func compressRegression(data []float32, dims []int, errBound float64, capacity i
 		}
 		blockCount++
 
-		idx := make([]int, nd)
-		reconAt := func(delta []int) float64 {
-			off := base
-			for d := 0; d < nd; d++ {
-				x := idx[d] + delta[d]
-				if x < 0 {
-					return 0
-				}
-				off += x * str[d]
-			}
-			return float64(recon[off])
-		}
-		for {
-			off := base
-			for d := 0; d < nd; d++ {
-				off += idx[d] * str[d]
-			}
+		walkBlock(str, base, ext, func(off int, idx []int) bool {
 			var pred float64
 			if useReg {
 				pred = planeAt(coeff, idx)
 			} else {
-				for _, dl := range deltas {
-					pred += float64(dl.sign) * reconAt(dl.off)
-				}
+				pred = lorenzoPredict(recon, str, base, idx, deltas)
 			}
 			dv := float64(data[off])
 			diff := dv - pred
@@ -309,19 +295,8 @@ func compressRegression(data []float32, dims []int, errBound float64, capacity i
 				unpred = append(unpred, data[off])
 				recon[off] = data[off]
 			}
-
-			d := nd - 1
-			for ; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < ext[d] {
-					break
-				}
-				idx[d] = 0
-			}
-			if d < 0 {
-				break
-			}
-		}
+			return true
+		})
 	})
 
 	head := binary.LittleEndian.AppendUint32(nil, uint32(len(coeffs)))
@@ -366,13 +341,9 @@ func decompressRegression(comp []byte) ([]float32, []int, error) {
 	blockCount := 0
 	bad := false
 
-	blockIter(dims, edge, func(origin, ext []int) {
+	blockIter(dims, str, edge, func(base int, ext []int) {
 		if bad {
 			return
-		}
-		base := 0
-		for d := 0; d < nd; d++ {
-			base += origin[d] * str[d]
 		}
 		useReg := predBits[blockCount/8]&(1<<uint(blockCount%8)) != 0
 		blockCount++
@@ -386,56 +357,27 @@ func decompressRegression(comp []byte) ([]float32, []int, error) {
 			cf += nd + 1
 		}
 
-		idx := make([]int, nd)
-		reconAt := func(delta []int) float64 {
-			off := base
-			for d := 0; d < nd; d++ {
-				x := idx[d] + delta[d]
-				if x < 0 {
-					return 0
-				}
-				off += x * str[d]
-			}
-			return float64(recon[off])
-		}
-		for {
-			off := base
-			for d := 0; d < nd; d++ {
-				off += idx[d] * str[d]
-			}
+		walkBlock(str, base, ext, func(off int, idx []int) bool {
 			var pred float64
 			if useReg {
 				pred = planeAt(coeff, idx)
 			} else {
-				for _, dl := range deltas {
-					pred += float64(dl.sign) * reconAt(dl.off)
-				}
+				pred = lorenzoPredict(recon, str, base, idx, deltas)
 			}
 			c := codes[ci]
 			ci++
 			if c == 0 {
 				if ui >= len(unpred) {
 					bad = true
-					return
+					return false
 				}
 				recon[off] = unpred[ui]
 				ui++
 			} else {
 				recon[off] = float32(pred + float64(c-radius)*2*errBound)
 			}
-
-			d := nd - 1
-			for ; d >= 0; d-- {
-				idx[d]++
-				if idx[d] < ext[d] {
-					break
-				}
-				idx[d] = 0
-			}
-			if d < 0 {
-				break
-			}
-		}
+			return true
+		})
 	})
 	if bad {
 		return nil, nil, ErrCorrupt

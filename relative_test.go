@@ -166,9 +166,9 @@ func TestRelativeCodecTablePooled(t *testing.T) {
 	const tableBytes = 24 * blocks
 	data := testField(bs*blocks, 31)
 	c := NewCodec[float32](Options{ErrorBound: 1e-3, Mode: BoundRelative, BlockSize: bs, Workers: 2})
-	// Warm until the engine's pooled shard scratches, one set per P, have
-	// grown to the largest share of the payload a participant claims; the
-	// shares vary call to call.
+	// Warm until the shard scratches in the engine's pooled per-call state,
+	// one per participant, have grown to the largest share of the payload a
+	// participant claims; the shares vary call to call.
 	const calls = 20
 	for i := 0; i < 200; i++ {
 		if _, err := c.Compress(data); err != nil {

@@ -187,9 +187,10 @@ func CompressInto[T Float](dst []byte, data []T, opt Options) ([]byte, error) {
 // Plan resolution is recorded as the "resolve_plan" span: bound validation,
 // the relative-bound range scan, and the whole fixed-ratio search (probes
 // included) — for a TargetRatio request this span is where the latency
-// hides. A relative bound on more than one worker resolves inside the
-// parallel engine, whose first phase takes every block's stats and reduces
-// their ranges; the span then ends once the bound is resolved from them.
+// hides. A relative bound resolves inside the core: on the parallel engine
+// from the per-block stats its first phase takes, on one participant from
+// a ValueRange scan; the span ends once the bound is resolved. Whether the
+// workers are used is the core's decision.
 func compressInto[T Float](dst []byte, data []T, opt Options, rs *ratioScratch) ([]byte, error) {
 	var t0 time.Time
 	if opt.Spans != nil {
@@ -201,7 +202,7 @@ func compressInto[T Float](dst []byte, data []T, opt Options, rs *ratioScratch) 
 	}
 	co := p.coreOpts()
 	co.Spans = opt.Spans
-	if opt.Mode == BoundRelative && p.Workers > 1 {
+	if opt.Mode == BoundRelative {
 		if err := checkRelative(len(data), opt); err != nil {
 			return nil, err
 		}
@@ -219,10 +220,7 @@ func compressInto[T Float](dst []byte, data []T, opt Options, rs *ratioScratch) 
 	if opt.Spans != nil {
 		opt.Spans.RecordSpan("resolve_plan", t0, time.Now())
 	}
-	if p.Workers > 1 {
-		return core.CompressParallelInto(dst, data, p.Bound, co, p.Workers)
-	}
-	return core.CompressInto(dst, data, p.Bound, co)
+	return core.CompressParallelInto(dst, data, p.Bound, co, p.Workers)
 }
 
 // CompressIntoStats is CompressInto with per-run statistics (serial path).
@@ -255,10 +253,7 @@ func DecompressInto[T Float](dst []T, comp []byte) ([]T, error) {
 // across workers (WorkersAuto selects GOMAXPROCS, WorkersSerial the calling
 // goroutine).
 func DecompressParallelInto[T Float](dst []T, comp []byte, workers int) ([]T, error) {
-	if w := coreWorkers(workers); w > 1 {
-		return core.DecompressParallelInto(dst, comp, w)
-	}
-	return core.DecompressInto(dst, comp)
+	return core.DecompressParallelInto(dst, comp, coreWorkers(workers))
 }
 
 // Compress compresses float32 data under opt. The resulting stream embeds
